@@ -1,6 +1,7 @@
 #include "expander/defs.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <queue>
@@ -36,36 +37,61 @@ std::optional<Cut> exact_min_expansion_cut(const UndirectedGraph& g) {
   std::vector<std::int32_t> pos(static_cast<std::size_t>(g.num_vertices()), -1);
   for (std::size_t i = 0; i < k; ++i) pos[static_cast<std::size_t>(vs[i])] = static_cast<std::int32_t>(i);
 
-  Cut best;
-  best.crossing = -1;
+  // Enumerate the subsets S containing vs[0] (halving the space): bit i-1 of
+  // `mask` puts vs[i] in S. Masks are walked in Gray-code order, so each step
+  // toggles one vertex and updates |E(S, V\S)| and vol(S) in O(deg). Among
+  // subsets of equal expansion the smallest mask wins, which reproduces an
+  // increasing-mask scan exactly. The singleton {vs[0]} (mask 0) is not
+  // scored.
+  std::vector<char> in_s(k, 0);
+  in_s[0] = 1;
+  std::int64_t vol_s = g.degree(vs[0]);
+  std::int64_t crossing = 0;
+  for (const auto& inc : g.incident(vs[0]))
+    if (inc.neighbor != vs[0]) ++crossing;
+
+  std::uint64_t best_mask = 0;
+  std::int64_t best_crossing = -1;
+  std::int64_t best_vol_small = 0;
   double best_exp = 1e301;
-  // Enumerate subsets containing vs[0] to halve the space.
-  for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << (k - 1)); ++mask) {
-    const std::uint64_t full = (mask << 1) | 1;  // vs[0] always on side S
-    std::int64_t vol_s = 0;
-    std::int64_t crossing = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      if (!((full >> i) & 1)) continue;
-      const Vertex v = vs[i];
-      vol_s += g.degree(v);
-      for (const auto& inc : g.incident(v)) {
-        const std::int32_t pj = pos[static_cast<std::size_t>(inc.neighbor)];
-        if (pj < 0 || !((full >> pj) & 1)) ++crossing;
-      }
+  std::uint64_t mask = 0;
+  for (std::uint64_t step = 1; step < (std::uint64_t{1} << (k - 1)); ++step) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(step)) + 1;
+    mask ^= std::uint64_t{1} << (i - 1);
+    const Vertex v = vs[i];
+    const bool joins = in_s[i] == 0;
+    in_s[i] = joins ? 1 : 0;
+    // An edge to a vertex in S stops (joins) or starts (leaves) crossing;
+    // an edge to a vertex outside S does the opposite. Self-loops never cross.
+    std::int64_t to_s = 0;
+    std::int64_t to_rest = 0;
+    for (const auto& inc : g.incident(v)) {
+      if (inc.neighbor == v) continue;
+      if (in_s[static_cast<std::size_t>(pos[static_cast<std::size_t>(inc.neighbor)])])
+        ++to_s;
+      else
+        ++to_rest;
     }
+    crossing += joins ? to_rest - to_s : to_s - to_rest;
+    vol_s += joins ? g.degree(v) : -g.degree(v);
+
     const std::int64_t vol_small = std::min(vol_s, total_vol - vol_s);
     if (vol_small == 0) continue;
     const double expn = static_cast<double>(crossing) / static_cast<double>(vol_small);
-    if (expn < best_exp) {
+    if (expn < best_exp || (expn == best_exp && mask < best_mask)) {
       best_exp = expn;
-      best.crossing = crossing;
-      best.vol_small = vol_small;
-      best.side.clear();
-      for (std::size_t i = 0; i < k; ++i)
-        if ((full >> i) & 1) best.side.push_back(vs[i]);
+      best_mask = mask;
+      best_crossing = crossing;
+      best_vol_small = vol_small;
     }
   }
-  if (best.crossing < 0) return std::nullopt;
+  if (best_crossing < 0) return std::nullopt;
+  Cut best;
+  best.crossing = best_crossing;
+  best.vol_small = best_vol_small;
+  best.side.push_back(vs[0]);
+  for (std::size_t i = 1; i < k; ++i)
+    if ((best_mask >> (i - 1)) & 1) best.side.push_back(vs[i]);
   return best;
 }
 

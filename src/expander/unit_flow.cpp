@@ -1,6 +1,7 @@
 #include "expander/unit_flow.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "parallel/scheduler.hpp"
@@ -21,9 +22,15 @@ struct State {
   std::vector<std::int64_t> remaining;  // remaining sink slice this round
   std::vector<std::int64_t> absorbed;   // total absorbed this call (= consumed sink)
   std::vector<std::int32_t> label;
-  // Per-level worklists of excess vertices; `queued` dedups entries.
+  // Per-level worklists of excess vertices; `queued` dedups entries. Bit j
+  // of `occupied` is set iff bucket[j] is non-empty, so a sweep visits only
+  // occupied levels instead of all h+1.
   std::vector<std::vector<Vertex>> bucket;
+  std::vector<std::uint64_t> occupied;
   std::vector<char> queued;
+  // Sweep-local scratch lists, kept to reuse their capacity.
+  std::vector<Vertex> todo;
+  std::vector<Vertex> candidates;
   std::uint64_t edge_scans = 0;
 
   [[nodiscard]] std::int64_t residual(graph::EdgeId e, Vertex from) const {
@@ -52,9 +59,48 @@ struct State {
   void activate(Vertex v) {
     const auto vi = static_cast<std::size_t>(v);
     if (ex[vi] > 0 && label[vi] <= p->height && !queued[vi]) {
-      bucket[static_cast<std::size_t>(label[vi])].push_back(v);
+      const auto j = static_cast<std::size_t>(label[vi]);
+      bucket[j].push_back(v);
+      occupied[j >> 6] |= std::uint64_t{1} << (j & 63);
       queued[vi] = 1;
     }
+  }
+
+  /// Highest occupied level <= hi, or -1 if none.
+  [[nodiscard]] std::int32_t highest_occupied(std::int32_t hi) const {
+    if (hi < 0) return -1;
+    auto w = static_cast<std::size_t>(hi) >> 6;
+    std::uint64_t bits = occupied[w] & (~std::uint64_t{0} >> (63 - (hi & 63)));
+    while (bits == 0) {
+      if (w == 0) return -1;
+      bits = occupied[--w];
+    }
+    return static_cast<std::int32_t>(w * 64 + 63 - std::countl_zero(bits));
+  }
+
+  /// Empty bucket j into `out` (appending) and clear its occupancy bit;
+  /// the dequeued vertices are no longer `queued`.
+  void take_bucket(std::size_t j, std::vector<Vertex>& out) {
+    auto& wl = bucket[j];
+    for (const Vertex v : wl) {
+      queued[static_cast<std::size_t>(v)] = 0;
+      out.push_back(v);
+    }
+    wl.clear();
+    occupied[j >> 6] &= ~(std::uint64_t{1} << (j & 63));
+  }
+
+  /// Empty every occupied bucket into `out`, in increasing level order.
+  void take_all(std::vector<Vertex>& out) {
+    for (std::size_t w = 0; w < occupied.size(); ++w)
+      for (std::uint64_t bits = occupied[w]; bits != 0; bits &= bits - 1)
+        take_bucket(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)), out);
+  }
+
+  /// Drop every queued entry (between rounds).
+  void clear_worklists() {
+    todo.clear();
+    take_all(todo);
   }
 
   /// Sum of excess over vertices not parked at level h+1. Parallel in
@@ -74,13 +120,13 @@ bool push_then_relabel(State& st) {
   const std::int32_t h = st.p->height;
   bool progress = false;
 
-  // Push phase: levels h down to 1; receiving vertices at level j-1 are
-  // processed later in the same sweep (the cascading parallel push).
-  for (std::int32_t j = h; j >= 1; --j) {
-    auto& wl = st.bucket[static_cast<std::size_t>(j)];
-    std::vector<Vertex> todo;
-    todo.swap(wl);
-    for (const Vertex v : todo) st.queued[static_cast<std::size_t>(v)] = 0;
+  // Push phase: occupied levels h down to 1; receiving vertices at level
+  // j-1 are processed later in the same sweep (the cascading parallel push).
+  // Entries requeued at level >= j wait for the relabel phase.
+  auto& todo = st.todo;
+  for (std::int32_t j = st.highest_occupied(h); j >= 1; j = st.highest_occupied(j - 1)) {
+    todo.clear();
+    st.take_bucket(static_cast<std::size_t>(j), todo);
     for (const Vertex v : todo) {
       const auto vi = static_cast<std::size_t>(v);
       if (st.label[vi] != j || st.queued[vi]) {
@@ -110,16 +156,11 @@ bool push_then_relabel(State& st) {
 
   // Relabel phase: raise excess vertices whose sink slice is exhausted and
   // whose down-edges are all saturated (vacuous at level 0). Consume all
-  // worklists and requeue survivors at their (possibly new) levels.
-  std::vector<Vertex> candidates;
-  for (std::int32_t j = 0; j <= h; ++j) {
-    auto& wl = st.bucket[static_cast<std::size_t>(j)];
-    for (const Vertex v : wl) {
-      st.queued[static_cast<std::size_t>(v)] = 0;
-      candidates.push_back(v);
-    }
-    wl.clear();
-  }
+  // occupied worklists in increasing level order and requeue survivors at
+  // their (possibly new) levels.
+  auto& candidates = st.candidates;
+  candidates.clear();
+  st.take_all(candidates);
   for (const Vertex v : candidates) {
     const auto vi = static_cast<std::size_t>(v);
     if (st.ex[vi] == 0 || st.label[vi] > h || st.queued[vi]) {
@@ -171,6 +212,7 @@ UnitFlowResult parallel_unit_flow(const UnitFlowProblem& p,
   st.absorbed.assign(n, 0);
   st.label.assign(n, 0);
   st.bucket.assign(static_cast<std::size_t>(p.height) + 2, {});
+  st.occupied.assign((static_cast<std::size_t>(p.height) + 2 + 63) / 64, 0);
   st.queued.assign(n, 0);
 
   const std::int32_t rounds =
@@ -200,10 +242,7 @@ UnitFlowResult parallel_unit_flow(const UnitFlowProblem& p,
     const std::int64_t x_i = st.active_excess();
     par::charge(n, par::ceil_log2(std::max<std::size_t>(n, 2)));
     if (x_i == 0) {
-      for (auto& b : st.bucket) {
-        for (const Vertex v : b) st.queued[static_cast<std::size_t>(v)] = 0;
-        b.clear();
-      }
+      st.clear_worklists();
       continue;  // later rounds still grant sink slices to parked excess
     }
     // Each PushThenRelabel raises every still-blocked active vertex one
@@ -218,10 +257,7 @@ UnitFlowResult parallel_unit_flow(const UnitFlowProblem& p,
       if (!push_then_relabel(st)) break;
     }
     // Clear worklists between rounds (entries re-derived from ex next round).
-    for (auto& b : st.bucket) {
-      for (const Vertex v : b) st.queued[static_cast<std::size_t>(v)] = 0;
-      b.clear();
-    }
+    st.clear_worklists();
   }
 
   // Drain: guarantee Lemma 3.10 (iii) — any leftover excess must sit at

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "expander/defs.hpp"
 #include "core/solver_context.hpp"
@@ -38,6 +41,142 @@ TEST(DefsTest, ExactCutOnBarbell) {
   EXPECT_EQ(cut->crossing, 1);
   EXPECT_EQ(cut->vol_small, 7);
   EXPECT_NEAR(cut->expansion(), 1.0 / 7.0, 1e-12);
+}
+
+/// Reference for exact_min_expansion_cut: the plain increasing-mask scan
+/// over subsets containing the first non-isolated vertex, recounting each
+/// subset's cut from scratch (first strict minimum wins).
+std::optional<Cut> reference_min_expansion_cut(const UndirectedGraph& g) {
+  std::vector<Vertex> vs;
+  for (Vertex v = 0; v < g.num_vertices(); ++v)
+    if (g.degree(v) > 0) vs.push_back(v);
+  const std::size_t k = vs.size();
+  if (k < 2) return std::nullopt;
+  const std::int64_t total_vol = 2 * static_cast<std::int64_t>(g.num_edges());
+  std::vector<std::int32_t> pos(static_cast<std::size_t>(g.num_vertices()), -1);
+  for (std::size_t i = 0; i < k; ++i) pos[static_cast<std::size_t>(vs[i])] = static_cast<std::int32_t>(i);
+  Cut best;
+  best.crossing = -1;
+  double best_exp = 1e301;
+  for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << (k - 1)); ++mask) {
+    const std::uint64_t full = (mask << 1) | 1;
+    std::int64_t vol_s = 0;
+    std::int64_t crossing = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (!((full >> i) & 1)) continue;
+      vol_s += g.degree(vs[i]);
+      for (const auto& inc : g.incident(vs[i])) {
+        const std::int32_t pj = pos[static_cast<std::size_t>(inc.neighbor)];
+        if (pj < 0 || !((full >> pj) & 1)) ++crossing;
+      }
+    }
+    const std::int64_t vol_small = std::min(vol_s, total_vol - vol_s);
+    if (vol_small == 0) continue;
+    const double expn = static_cast<double>(crossing) / static_cast<double>(vol_small);
+    if (expn < best_exp) {
+      best_exp = expn;
+      best.crossing = crossing;
+      best.vol_small = vol_small;
+      best.side.clear();
+      for (std::size_t i = 0; i < k; ++i)
+        if ((full >> i) & 1) best.side.push_back(vs[i]);
+    }
+  }
+  if (best.crossing < 0) return std::nullopt;
+  return best;
+}
+
+void expect_same_cut(const std::optional<Cut>& got, const std::optional<Cut>& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << what;
+  if (!want) return;
+  EXPECT_EQ(got->crossing, want->crossing) << what;
+  EXPECT_EQ(got->vol_small, want->vol_small) << what;
+  EXPECT_EQ(got->side, want->side) << what;
+}
+
+TEST(DefsTest, ExactCutMatchesIncreasingMaskScan) {
+  // Seeded multigraphs with k = 2..14 non-isolated vertices, scattered among
+  // isolated ones, with parallel edges and (every third graph) two
+  // components. The graph type rejects self-loops, so none are generated.
+  int graphs = 0;
+  for (std::size_t k = 2; k <= 14; ++k) {
+    for (int trial = 0; trial < 40; ++trial) {
+      par::Rng rng(7000 + 100 * k + static_cast<std::uint64_t>(trial));
+      const std::size_t isolated = rng.next_below(4);
+      const auto n = static_cast<Vertex>(k + isolated);
+      std::vector<Vertex> ids(static_cast<std::size_t>(n));
+      for (Vertex v = 0; v < n; ++v) ids[static_cast<std::size_t>(v)] = v;
+      for (std::size_t i = ids.size(); i > 1; --i) std::swap(ids[i - 1], ids[rng.next_below(i)]);
+      ids.resize(k);  // the non-isolated vertices, in random id order
+      // Split into two components when k >= 4 on every third trial.
+      const std::size_t split = (trial % 3 == 0 && k >= 4) ? k / 2 : k;
+      auto pick_pair = [&](std::size_t lo, std::size_t hi) {
+        const std::size_t a = lo + rng.next_below(hi - lo);
+        std::size_t b = lo + rng.next_below(hi - lo - 1);
+        if (b >= a) ++b;
+        return std::pair{ids[a], ids[b]};
+      };
+      UndirectedGraph g(n);
+      const std::size_t extra = rng.next_below(3 * k);
+      for (std::size_t e = 0; e < extra; ++e) {
+        const bool left = split == k || rng.next_below(2) == 0 || k - split < 2;
+        const auto [u, v] = left && split >= 2 ? pick_pair(0, split) : pick_pair(split, k);
+        g.add_edge(u, v);
+        if (rng.next_below(4) == 0) g.add_edge(v, u);  // parallel edge
+      }
+      // Give every listed vertex at least one edge inside its component.
+      for (std::size_t i = 0; i < k; ++i) {
+        if (g.degree(ids[i]) > 0) continue;
+        const bool left = i < split;
+        const std::size_t lo = left ? 0 : split;
+        const std::size_t hi = left ? split : k;
+        if (hi - lo < 2) {
+          g.add_edge(ids[i], ids[i == 0 ? 1 : i - 1]);
+          continue;
+        }
+        std::size_t j = lo + rng.next_below(hi - lo - 1);
+        if (j >= i) ++j;
+        g.add_edge(ids[i], ids[j]);
+      }
+      std::size_t non_isolated = 0;
+      for (Vertex v = 0; v < n; ++v) non_isolated += g.degree(v) > 0 ? 1 : 0;
+      ASSERT_EQ(non_isolated, k);
+      expect_same_cut(exact_min_expansion_cut(g), reference_min_expansion_cut(g),
+                      "k=" + std::to_string(k) + " trial=" + std::to_string(trial));
+      ++graphs;
+    }
+  }
+  EXPECT_GE(graphs, 500);
+}
+
+TEST(DefsTest, ExactCutKeepsSmallestMaskAmongTiedCuts) {
+  // Barbell: triangles {0,1,2} and {4,5,6} joined by the path 2-3-4.
+  // {0,1,2} (mask 0b11) and {0,1,2,3} (mask 0b111) both cut one edge
+  // against a smaller-side volume of 7; the smaller mask wins.
+  UndirectedGraph barbell(7);
+  for (const auto& [u, v] : std::vector<std::pair<Vertex, Vertex>>{
+           {0, 1}, {1, 2}, {2, 0}, {4, 5}, {5, 6}, {6, 4}, {2, 3}, {3, 4}})
+    barbell.add_edge(u, v);
+  const auto cut = exact_min_expansion_cut(barbell);
+  expect_same_cut(cut, reference_min_expansion_cut(barbell), "barbell");
+  ASSERT_TRUE(cut.has_value());
+  EXPECT_EQ(cut->side, (std::vector<Vertex>{0, 1, 2}));
+  EXPECT_EQ(cut->crossing, 1);
+  EXPECT_EQ(cut->vol_small, 7);
+
+  // Cycle 2-0-3-1-4-5-2: the arcs {0,2,3} (mask 0b110) and {0,1,3}
+  // (mask 0b101) tie at 2/6, and the Gray-code walk reaches 0b110 first.
+  UndirectedGraph cycle(6);
+  for (const auto& [u, v] : std::vector<std::pair<Vertex, Vertex>>{
+           {2, 0}, {0, 3}, {3, 1}, {1, 4}, {4, 5}, {5, 2}})
+    cycle.add_edge(u, v);
+  const auto arc = exact_min_expansion_cut(cycle);
+  expect_same_cut(arc, reference_min_expansion_cut(cycle), "cycle");
+  ASSERT_TRUE(arc.has_value());
+  EXPECT_EQ(arc->side, (std::vector<Vertex>{0, 1, 3}));
+  EXPECT_EQ(arc->crossing, 2);
+  EXPECT_EQ(arc->vol_small, 6);
 }
 
 TEST(DefsTest, CompleteGraphIsExpander) {

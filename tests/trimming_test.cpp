@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "expander/defs.hpp"
 #include "expander/trimming.hpp"
+#include "expander/trimming_engine.hpp"
 #include "graph/generators.hpp"
 #include "parallel/rng.hpp"
 
@@ -157,6 +159,69 @@ TEST_P(TrimmingSweep, RemovedVolumeScalesWithBoundary) {
 INSTANTIATE_TEST_SUITE_P(Sweep, TrimmingSweep,
                          ::testing::Combine(::testing::Range(0, 4),
                                             ::testing::Values(1, 3, 6)));
+
+TEST(TrimmingEngineGoldenTest, PrunedAndEvictedSetsAcrossBatches) {
+  // Exact outputs recorded from the level-by-level push-relabel scan that
+  // preceded the occupied-level bitmask; height 72 spans two bitmask words.
+  // Four batches each delete five edges at vertex 5b: the first prunes
+  // vertex 0, the next two are routed, the last collapses the cluster.
+  par::Rng rng(6501);
+  const UndirectedGraph g = graph::random_regular_expander(40, 4, rng);  // 8-regular
+  TrimmingEngine engine(g, {.phi = 0.3, .height = 72});
+  struct Batch {
+    std::vector<EdgeId> deleted;
+    std::vector<Vertex> pruned;
+    std::vector<EdgeId> evicted;
+    std::uint64_t edge_scans;        // cumulative
+    std::int64_t removed_volume;     // cumulative
+    std::int64_t flow_checksum;      // Σ (e+1)·f_e of the certificate flow
+    std::int64_t absorbed_checksum;  // Σ (v+1)·absorbed_v
+  };
+  // The collapse prunes vertices 1..39 in id order, except 15 comes last.
+  std::vector<Vertex> last_pruned(39);
+  std::iota(last_pruned.begin(), last_pruned.end(), 1);
+  last_pruned.erase(last_pruned.begin() + 14);
+  last_pruned.push_back(15);
+  const std::vector<Batch> want = {
+      {{9, 10, 40, 79, 105}, {0}, {156, 155, 106}, 77, 3, -115, 1231},
+      {{15, 16, 61, 62, 99}, {}, {}, 201, 3, -292, 2747},
+      {{7, 8, 45, 46, 80}, {}, {}, 396, 3, -241, 3986},
+      {{20, 21, 72, 73, 91},
+       last_pruned,
+       {34,  35,  159, 74,  95,  96,  120, 33,  129, 63,  64,  130, 107, 37,  38,  42,
+        43,  93,  94,  126, 127, 27,  28,  56,  57,  104, 158, 149, 148, 100, 151, 29,
+        152, 75,  92,  12,  13,  71,  153, 102, 103, 19,  134, 48,  49,  86,  87,  133,
+        24,  25,  65,  66,  81,  82,  135, 125, 124, 119, 0,   39,  47,  150, 111, 112,
+        26,  85,  68,  69,  84,  3,   4,   77,  78,  118, 132, 154, 36,  67,  90,  18,
+        131, 58,  59,  113, 114, 1,   2,   89,  147, 88,  98,  142, 143, 50,  97,  157,
+        14,  30,  31,  60,  146, 110, 144, 55,  6,   138, 139, 101, 22,  23,  44,  141,
+        115, 116, 140, 145, 52,  51,  121, 108, 109, 5,   11,  136, 70,  137, 53,  32,
+        122, 41,  17,  83,  54,  128, 117, 76,  123},
+       49180, 274, 0, 4914},
+  };
+  for (std::size_t b = 0; b < want.size(); ++b) {
+    std::vector<EdgeId> del;
+    for (std::size_t i = 0; i < 5; ++i)
+      del.push_back(g.incident(static_cast<Vertex>(5 * b))[i].edge);
+    ASSERT_EQ(del, want[b].deleted) << "batch " << b;
+    std::vector<EdgeId> evicted;
+    const auto pruned = engine.delete_batch(del, &evicted);
+    EXPECT_EQ(pruned, want[b].pruned) << "batch " << b;
+    EXPECT_EQ(evicted, want[b].evicted) << "batch " << b;
+    EXPECT_EQ(engine.edge_scans(), want[b].edge_scans) << "batch " << b;
+    EXPECT_EQ(engine.removed_volume(), want[b].removed_volume) << "batch " << b;
+    EXPECT_EQ(engine.leftover_excess(), 0) << "batch " << b;
+    std::int64_t flow_sum = 0;
+    std::int64_t absorbed_sum = 0;
+    const auto& f = engine.certificate_flow();
+    for (std::size_t e = 0; e < f.size(); ++e) flow_sum += static_cast<std::int64_t>(e + 1) * f[e];
+    const auto& a = engine.absorbed();
+    for (std::size_t v = 0; v < a.size(); ++v)
+      absorbed_sum += static_cast<std::int64_t>(v + 1) * a[v];
+    EXPECT_EQ(flow_sum, want[b].flow_checksum) << "batch " << b;
+    EXPECT_EQ(absorbed_sum, want[b].absorbed_checksum) << "batch " << b;
+  }
+}
 
 }  // namespace
 }  // namespace pmcf::expander

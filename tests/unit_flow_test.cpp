@@ -220,5 +220,108 @@ TEST(UnitFlowTest, WorkScalesWithSourceSupportNotGraphSize) {
   EXPECT_LT(big, 24000u) << "edge work must stay far below m";
 }
 
+// ---------- golden outputs ----------
+// Exact outputs recorded from the level-by-level scan that preceded the
+// occupied-level bitmask. Heights above 63 make the level bitmask span two or
+// three 64-bit words. Any change here changes the expander stack's results.
+
+struct Golden {
+  std::vector<std::int64_t> flow;
+  std::vector<std::int32_t> label;
+  std::vector<std::int64_t> excess;
+  std::vector<std::int64_t> absorbed;
+  std::uint64_t edge_scans;
+  std::int32_t push_relabel_calls;
+};
+
+void expect_golden(const UnitFlowResult& r, const Golden& want) {
+  EXPECT_EQ(r.flow, want.flow);
+  EXPECT_EQ(r.label, want.label);
+  EXPECT_EQ(r.excess, want.excess);
+  EXPECT_EQ(r.absorbed, want.absorbed);
+  EXPECT_EQ(r.edge_scans, want.edge_scans);
+  EXPECT_EQ(r.push_relabel_calls, want.push_relabel_calls);
+}
+
+/// 4-regular 12-vertex expander with far more source than sink: the excess
+/// climbs through every level up to h + 1 = 71.
+UnitFlowProblem golden_expander_problem(const UndirectedGraph& g) {
+  UnitFlowProblem p;
+  p.g = &g;
+  p.cap.assign(g.edge_slots(), 3);
+  p.source.assign(12, 0);
+  p.sink.assign(12, 1);
+  p.source[0] = 40;
+  p.source[5] = 7;
+  p.sink[11] = 6;
+  p.height = 70;
+  return p;
+}
+
+TEST(UnitFlowGoldenTest, ExpanderAtHeight70) {
+  par::Rng rng(6401);
+  const UndirectedGraph g = graph::random_regular_expander(12, 2, rng);
+  const auto p = golden_expander_problem(g);
+  const auto r = parallel_unit_flow(p);
+  expect_golden(r, {.flow = {3, -3, -1, -2, 0, -3, 0, -3, 3, 3, 0, 3,
+                             -1, -2, -3, 3, -1, 1, 3, 0, 0, -3, -1, 3},
+                    .label = std::vector<std::int32_t>(12, 70),
+                    .excess = {27, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+                    .absorbed = {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 6},
+                    .edge_scans = 8547,
+                    .push_relabel_calls = 744});
+  EXPECT_EQ(r.total_excess, 30);
+  EXPECT_EQ(r.total_absorbed, 17);
+}
+
+TEST(UnitFlowGoldenTest, PathWithChordsAtHeight130) {
+  // Path 0-..-9 plus a chord {0,2} and a parallel pair {3,7}: three words of
+  // levels, and labels left spread over 0, 1, 129 and 130.
+  UndirectedGraph g(10);
+  for (Vertex v = 0; v + 1 < 10; ++v) g.add_edge(v, v + 1);
+  g.add_edge(0, 2);
+  g.add_edge(3, 7);
+  g.add_edge(3, 7);
+  auto p = make_problem(g, 2, std::vector<std::int64_t>(10, 0), std::vector<std::int64_t>(10, 0),
+                        130);
+  p.source[0] = 25;
+  p.source[4] = 3;
+  p.sink[9] = 4;
+  p.sink[6] = 1;
+  const auto r = parallel_unit_flow(p);
+  expect_golden(r, {.flow = {2, 0, 2, -1, 0, 0, -1, 2, 2, 2, 1, 2},
+                    .label = {130, 130, 130, 130, 130, 130, 130, 129, 1, 0},
+                    .excess = {21, 2, 0, 0, 2, 0, 0, 0, 0, 0},
+                    .absorbed = {0, 0, 0, 0, 0, 0, 1, 0, 0, 2},
+                    .edge_scans = 6939,
+                    .push_relabel_calls = 392});
+}
+
+TEST(UnitFlowGoldenTest, ResumeFromInitialFlowAtHeight66) {
+  // Trimming's composition: the first call's flow constrains a second call
+  // with doubled capacities and a fresh demand.
+  par::Rng rng(6401);
+  const UndirectedGraph g = graph::random_regular_expander(12, 2, rng);
+  const auto first = parallel_unit_flow(golden_expander_problem(g));
+  UnitFlowProblem p;
+  p.g = &g;
+  p.cap.assign(g.edge_slots(), 6);
+  p.source.assign(12, 0);
+  p.sink.assign(12, 0);
+  p.source[3] = 9;
+  p.source[0] = 5;
+  p.sink[6] = 3;
+  p.sink[9] = 1;
+  p.height = 66;
+  const auto r = parallel_unit_flow(p, first.flow);
+  expect_golden(r, {.flow = {6, -6, -2, 1, -6, -6, -5, -6, -3, -6, -6, 1,
+                             -6, -5, -6, 6, -2, -4, 4, 5, 1, -5, -6, -4},
+                    .label = {66, 66, 66, 66, 66, 66, 66, 66, 65, 66, 66, 66},
+                    .excess = {2, 0, 0, 2, 0, 0, 0, 0, 0, 1, 5, 0},
+                    .absorbed = {0, 0, 0, 0, 0, 0, 3, 0, 0, 1, 0, 0},
+                    .edge_scans = 8074,
+                    .push_relabel_calls = 270});
+}
+
 }  // namespace
 }  // namespace pmcf::expander
