@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "ds/flat_norm.hpp"
 #include "core/solver_context.hpp"
@@ -76,6 +78,138 @@ TEST(FlatNormTest, TinyCApproachesSignVector) {
   const auto res = flat_norm_argmax(v, tau, 1e-7);
   // w ~ sign(v): value ~ ||v||_1.
   EXPECT_NEAR(res.value, 3.5, 1e-3);
+}
+
+/// Reference maximizer: the same 32-step ternary search over β, but each
+/// probe finds λ in Σ τ_i min(β, λ|v_i|/τ_i)² = r² by bisection run until the
+/// bracket stops shrinking.
+double reference_inner(const Vec& v, const Vec& tau, double beta, double r, Vec* w) {
+  const std::size_t m = v.size();
+  if (w != nullptr) w->assign(m, 0.0);
+  if (beta <= 0.0 || r <= 0.0) return 0.0;
+  auto tau_norm_sq = [&](double lambda) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const double wi = std::min(beta, lambda * std::abs(v[i]) / tau[i]);
+      acc += tau[i] * wi * wi;
+    }
+    return acc;
+  };
+  double clipped_sq = 0.0;
+  for (std::size_t i = 0; i < m; ++i)
+    if (v[i] != 0.0) clipped_sq += tau[i] * beta * beta;
+  double lambda = std::numeric_limits<double>::infinity();  // all clipped
+  if (clipped_sq > r * r) {
+    double hi = 1.0;
+    while (tau_norm_sq(hi) < r * r) hi *= 2.0;
+    double lo = hi;
+    while (lo > 1e-300 && tau_norm_sq(lo) >= r * r) lo *= 0.5;
+    for (int it = 0; it < 2000; ++it) {
+      const double mid = 0.5 * (lo + hi);
+      if (mid <= lo || mid >= hi) break;
+      (tau_norm_sq(mid) < r * r ? lo : hi) = mid;
+    }
+    lambda = 0.5 * (lo + hi);
+  }
+  double val = 0.0;
+  for (std::size_t i = 0; i < m; ++i) {
+    if (v[i] == 0.0) continue;
+    const double wi = std::min(beta, lambda * std::abs(v[i]) / tau[i]);
+    val += std::abs(v[i]) * wi;
+    if (w != nullptr) (*w)[i] = v[i] >= 0.0 ? wi : -wi;
+  }
+  return val;
+}
+
+FlatNormResult reference_flat_norm(const Vec& v, const Vec& tau, double c) {
+  auto value_at = [&](double beta) {
+    return reference_inner(v, tau, beta, (1.0 - beta) / c, nullptr);
+  };
+  double lo = 0.0, hi = 1.0;
+  for (int it = 0; it < 32; ++it) {
+    const double m1 = lo + (hi - lo) / 3.0;
+    const double m2 = hi - (hi - lo) / 3.0;
+    if (value_at(m1) < value_at(m2)) {
+      lo = m1;
+    } else {
+      hi = m2;
+    }
+  }
+  const double beta = 0.5 * (lo + hi);
+  FlatNormResult res;
+  res.beta = beta;
+  res.value = reference_inner(v, tau, beta, (1.0 - beta) / c, &res.w);
+  return res;
+}
+
+void expect_matches_reference(const Vec& v, const Vec& tau, double c, const std::string& what) {
+  const auto got = flat_norm_argmax(v, tau, c);
+  ASSERT_EQ(got.w.size(), v.size()) << what;
+  // Same split β: the closed-form inner solve must reproduce the bisection.
+  Vec w_ref;
+  const double at_beta = reference_inner(v, tau, got.beta, (1.0 - got.beta) / c, &w_ref);
+  EXPECT_LE(std::abs(got.value - at_beta), 1e-12 * std::abs(at_beta)) << what;
+  for (std::size_t i = 0; i < v.size(); ++i)
+    EXPECT_NEAR(got.w[i], w_ref[i], 1e-9) << what << " i=" << i;
+  // Whole search: the two ternary searches may part ways where two probe
+  // values tie to rounding, so β agrees to the final bracket width
+  // ((2/3)^32 ≈ 2.3e-6 each); the value is flat there and agrees tightly.
+  const auto want = reference_flat_norm(v, tau, c);
+  EXPECT_LE(std::abs(got.value - want.value), 1e-12 * std::abs(want.value)) << what;
+  EXPECT_NEAR(got.beta, want.beta, 5e-6) << what;
+  EXPECT_LE(mixed_norm(got.w, tau, c), 1.0 + 1e-12) << what;
+  EXPECT_NEAR(got.value, linalg::dot(v, got.w), 1e-12 * (1.0 + std::abs(got.value))) << what;
+}
+
+TEST(FlatNormTest, ClosedFormMatchesBisectionReference) {
+  par::Rng rng(94);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t m = 1 + rng.next_below(60);
+    Vec v(m), tau(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      // Mixed magnitudes, some exact zeros.
+      v[i] = rng.next_below(8) == 0 ? 0.0
+                                    : (rng.next_double() * 2.0 - 1.0) *
+                                          std::pow(10.0, rng.uniform_int(-2, 2));
+      tau[i] = 0.01 + rng.next_double() * std::pow(10.0, rng.uniform_int(-1, 1));
+    }
+    const double cs[] = {1e-3, 0.3, 1.0, 4.0, 1e5};
+    const double c = cs[trial % 5];
+    expect_matches_reference(v, tau, c, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(FlatNormTest, EdgeCases) {
+  for (const double c : {1e-3, 1.0, 1e5}) {
+    const std::string tag = " c=" + std::to_string(c);
+    // Empty v.
+    const auto empty = flat_norm_argmax(Vec{}, Vec{}, c);
+    EXPECT_TRUE(empty.w.empty());
+    EXPECT_EQ(empty.value, 0.0);
+    // All-zero v.
+    const auto zero = flat_norm_argmax(Vec(5, 0.0), Vec(5, 0.5), c);
+    EXPECT_EQ(zero.value, 0.0);
+    for (const double wi : zero.w) EXPECT_EQ(wi, 0.0);
+    // k = 1.
+    expect_matches_reference(Vec{-0.7}, Vec{2.0}, c, "k=1" + tag);
+    expect_matches_reference(Vec{0.0, 3.0, 0.0}, Vec{1.0, 0.25, 4.0}, c, "one non-zero" + tag);
+    // Ties in |v|/τ, with mixed signs.
+    expect_matches_reference(Vec{1.0, -2.0, 3.0, -0.5, 0.25}, Vec{1.0, 2.0, 3.0, 0.5, 1.0}, c,
+                             "ties" + tag);
+  }
+  // Everything clipped: with c = 1e-3 the τ budget (1-β)/c dwarfs β²Στ for
+  // every β below ~0.998 (every early ternary probe), where the value is
+  // β·||v||_1. It grows with β, so the optimum sits at the edge of that
+  // regime: w ≈ β·sign(v).
+  const Vec v{0.3, -1.0, 2.0, -0.01};
+  const Vec tau{1.0, 0.5, 2.0, 1.0};
+  expect_matches_reference(v, tau, 1e-3, "all clipped");
+  const auto res = flat_norm_argmax(v, tau, 1e-3);
+  const double beta = linalg::norm_inf(res.w);
+  EXPECT_GT(beta, 0.99);
+  for (std::size_t i = 0; i < v.size(); ++i)
+    EXPECT_NEAR(res.w[i], v[i] > 0 ? beta : -beta, 1e-4) << i;
+  EXPECT_NEAR(res.value, beta * 3.31, 1e-4);
 }
 
 // ---------- tau sampler ----------
