@@ -42,12 +42,22 @@ struct ExecBindings {
   bool pool_bound = false;
 };
 
+namespace detail {
+/// Constant-initialized, so reads compile to a plain TLS load with no
+/// init-guard wrapper.
+inline constinit thread_local ExecBindings tls_bindings;
+}  // namespace detail
+
 /// The calling thread's current bindings (all-null when no context is
-/// installed).
-[[nodiscard]] const ExecBindings& current_bindings();
+/// installed). Inline: every kernel call and PRAM charge consults it.
+[[nodiscard]] inline const ExecBindings& current_bindings() { return detail::tls_bindings; }
 
 /// Install `next` and return the previous bindings (for scoped restore).
-ExecBindings exchange_bindings(const ExecBindings& next);
+inline ExecBindings exchange_bindings(const ExecBindings& next) {
+  ExecBindings prev = detail::tls_bindings;
+  detail::tls_bindings = next;
+  return prev;
+}
 
 /// RAII install/restore of a bindings set on the current thread.
 class BindingsScope {

@@ -13,15 +13,18 @@
 //   kInstrumented — the tracker is recording PRAM work/depth. Kernels run
 //     the exact primitive sequence the seed code executed so the counters
 //     stay bit-for-bit identical across PRs (perf-trajectory gate).
-//   kWallPooled — wall-clock with a multi-thread pool. Kernels keep the
+//   kWallPooled — wall-clock with a multi-thread pool bound. Kernels keep the
 //     legacy parallel_for / parallel_reduce paths: the blocked combine tree
 //     depends only on (range, grain, threads), which is what keeps the
-//     multi-RHS CG bit-identical to k single-RHS solves under a pool.
-//   kWallSerial — wall-clock, single thread (the dense-instance default on
-//     this host). Kernels call the SIMD layer (linalg/simd_kernels.hpp):
-//     AVX2 when available, else the canonical scalar implementations. All
-//     reductions in this mode use the stripe-4 order, consistently, so the
-//     single-vs-multi-RHS identity holds here too (tests/accel_test.cpp and
+//     multi-RHS CG bit-identical to k single-RHS solves under a pool. Only a
+//     single wall-clock solve on a multi-thread pool lands here; items that
+//     Engine::solve_batch fans across its pool bind no pool and run
+//     kWallSerial.
+//   kWallSerial — wall-clock with no pool (or a 1-thread one) bound. Kernels
+//     call the SIMD layer (linalg/simd_kernels.hpp): AVX2 when available,
+//     else the canonical scalar implementations. All reductions in this mode
+//     use the stripe-4 order, consistently, so the single-vs-multi-RHS
+//     identity holds here too (tests/accel_test.cpp and
 //     tests/kernel_simd_test.cpp).
 //
 // Wall-mode floating-point results may differ across modes (different but

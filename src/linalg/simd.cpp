@@ -4,10 +4,11 @@ namespace pmcf::linalg::simd {
 
 namespace {
 
-bool g_force_scalar = false;
-
 bool detect_avx2() {
 #if defined(PMCF_SIMD_AVX2) && (defined(__GNUC__) || defined(__clang__))
+  // Runs during static initialization (detail::g_enabled), possibly before
+  // libgcc's own CPU-model constructor.
+  __builtin_cpu_init();
   return __builtin_cpu_supports("avx2") != 0;
 #else
   return false;
@@ -21,8 +22,10 @@ bool available() {
   return ok;
 }
 
-bool enabled() { return !g_force_scalar && available(); }
+namespace detail {
+bool g_enabled = available();
+}  // namespace detail
 
-void set_force_scalar(bool force) { g_force_scalar = force; }
+void set_force_scalar(bool force) { detail::g_enabled = !force && available(); }
 
 }  // namespace pmcf::linalg::simd

@@ -19,8 +19,16 @@ namespace pmcf::linalg::simd {
 /// True when the AVX2 kernels are compiled in and the CPU supports them.
 [[nodiscard]] bool available();
 
-/// available() minus the test override. Checked once per kernel call.
-[[nodiscard]] bool enabled();
+namespace detail {
+/// enabled(), resolved once at static initialization and again by every
+/// set_force_scalar() call. Reads false (the scalar kernels, which are
+/// bit-identical) until then.
+extern bool g_enabled;
+}  // namespace detail
+
+/// available() minus the test override. Checked once per kernel call, so it
+/// is a plain load rather than a call.
+[[nodiscard]] inline bool enabled() { return detail::g_enabled; }
 
 /// Test hook: force the scalar fallback even when AVX2 is available.
 /// Not thread-safe; flip it only from single-threaded test setup code.

@@ -485,12 +485,12 @@ EngineSolveResult Engine::solve_with_salt(const Instance& inst, const mcf::Solve
                                           std::uint64_t salt, const core::Deadline& deadline,
                                           const core::CancelToken* caller_token,
                                           const core::CancelToken* engine_token,
-                                          const WarmPlumbing* warm) const {
+                                          InnerPool inner, const WarmPlumbing* warm) const {
   core::ContextOptions copts;
   copts.seed = mix_seed(config_.seed, salt);
   copts.instrument = config_.instrument;
-  copts.pool = config_.pool;
-  copts.use_global_pool = config_.use_global_pool;
+  copts.pool = inner == InnerPool::kEngine ? config_.pool : nullptr;
+  copts.use_global_pool = inner == InnerPool::kEngine && config_.use_global_pool;
   core::SolverContext ctx(copts);
   ctx.lifecycle().set_deadline(merge_deadlines(deadline, inst.deadline));
   if (caller_token != nullptr) ctx.lifecycle().bind_token(caller_token);
@@ -576,7 +576,8 @@ bool Engine::cancel(SolveHandle handle) const {
 EngineSolveResult Engine::admit_and_solve(const Instance& inst, const mcf::SolveOptions& opts,
                                           const SolveControl& control, std::uint64_t salt,
                                           const core::CancelToken* engine_token,
-                                          AdmitMode mode, const WarmPlumbing* warm) const {
+                                          AdmitMode mode, InnerPool inner,
+                                          const WarmPlumbing* warm) const {
   const auto arrival = Clock::now();
   const std::size_t priority = clamp_priority(control.priority);
   // A resolve arriving with a central-path restart is priced on the warm
@@ -623,7 +624,8 @@ EngineSolveResult Engine::admit_and_solve(const Instance& inst, const mcf::Solve
   const auto acquired_at = Clock::now();
   metrics_.queue_wait.record(acquired_at - arrival);
   EngineSolveResult out =
-      solve_with_salt(inst, opts, salt, control.deadline, control.cancel, engine_token, warm);
+      solve_with_salt(inst, opts, salt, control.deadline, control.cancel, engine_token, inner,
+                      warm);
   const auto done = Clock::now();
   metrics_.solve_time.record(done - acquired_at);
   metrics_.latency.record(done - arrival);
@@ -655,7 +657,8 @@ EngineSolveResult Engine::solve(const Instance& inst, const mcf::SolveOptions& o
       (1ULL << 32) + solve_calls_.fetch_add(1, std::memory_order_relaxed);
   const std::shared_ptr<core::CancelToken> engine_token = issue_handle(control);
   EngineSolveResult out =
-      admit_and_solve(inst, opts, control, salt, engine_token.get(), AdmitMode::kAcquire);
+      admit_and_solve(inst, opts, control, salt, engine_token.get(), AdmitMode::kAcquire,
+                      InnerPool::kEngine);
   retire_handle(control);
   return out;
 }
@@ -693,18 +696,20 @@ std::vector<EngineSolveResult> Engine::solve_batch(const std::vector<Instance>& 
   }
   const std::shared_ptr<core::CancelToken> engine_token =
       admitted > 0 ? issue_handle(control) : nullptr;
-  const auto solve_one = [&](std::size_t i) {
-    results[i] = admit_and_solve(batch[i], opts, control, /*salt=*/i, engine_token.get(), mode);
+  const auto solve_one = [&](std::size_t i, InnerPool inner) {
+    results[i] =
+        admit_and_solve(batch[i], opts, control, /*salt=*/i, engine_token.get(), mode, inner);
   };
   par::ThreadPool* p = pool();
   if (p == nullptr || p->num_threads() <= 1 || admitted <= 1) {
-    for (std::size_t i = 0; i < admitted; ++i) solve_one(i);
+    for (std::size_t i = 0; i < admitted; ++i) solve_one(i, InnerPool::kEngine);
   } else {
-    // One solve per block (grain 1): whole solves are the unit of stealing.
-    // Each task installs its own context, so the bindings inherited from this
-    // (forking) thread are immediately shadowed for the solve's duration.
+    // One solve per block (grain 1): whole solves are the unit of stealing,
+    // and the only one. Each task installs its own pool-less context, which
+    // shadows the bindings inherited from this (forking) thread, so an item's
+    // primitives run the serial kernels instead of nesting pooled ones.
     p->run_blocked(0, admitted, 1, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) solve_one(i);
+      for (std::size_t i = b; i < e; ++i) solve_one(i, InnerPool::kNone);
     });
   }
   if (admitted > 0) retire_handle(control);
@@ -883,8 +888,9 @@ EngineSolveResult Engine::resolve(InstanceHandle handle, const InstanceDelta& de
   const std::uint64_t salt =
       (1ULL << 33) + solve_calls_.fetch_add(1, std::memory_order_relaxed);
   const std::shared_ptr<core::CancelToken> engine_token = issue_handle(control);
-  EngineSolveResult out = admit_and_solve(view, eff, control, salt, engine_token.get(),
-                                          AdmitMode::kAcquire, &plumbing);
+  EngineSolveResult out =
+      admit_and_solve(view, eff, control, salt, engine_token.get(), AdmitMode::kAcquire,
+                      InnerPool::kEngine, &plumbing);
 
   if (out.result.status != SolveStatus::kOk && !is_instance_error(out.result.status) &&
       !is_lifecycle_error(out.result.status) && warm_hit) {
@@ -901,7 +907,7 @@ EngineSolveResult Engine::resolve(InstanceHandle handle, const InstanceDelta& de
     const std::uint64_t cold_salt =
         (1ULL << 33) + solve_calls_.fetch_add(1, std::memory_order_relaxed);
     out = admit_and_solve(view, eff, control, cold_salt, engine_token.get(),
-                          AdmitMode::kAcquire, &plumbing);
+                          AdmitMode::kAcquire, InnerPool::kEngine, &plumbing);
   }
   retire_handle(control);
 

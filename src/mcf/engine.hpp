@@ -21,10 +21,12 @@
 //     priorities (0 = most important) shed low-priority work first, and a
 //     lock-free metrics surface (mcf/metrics.hpp) exports what happened.
 //
-// Instrumented engines (the default) run each solve single-threaded under
-// its own PRAM tracker — batch throughput then comes purely from solving
-// many instances at once. Wall-clock engines (instrument = false) let each
-// solve's inner primitives use the pool too (nested fork-join is supported).
+// Batch throughput comes purely from solving many instances at once: every
+// fanned-out batch item runs single-threaded. Instrumented engines (the
+// default) run each solve under its own PRAM tracker; in wall-clock engines
+// (instrument = false) a fanned-out item binds no pool and runs the serial
+// SIMD kernels, so only a lone solve() / resolve() (or a 1-item batch) lets
+// its inner primitives fork on the pool.
 
 #include <atomic>
 #include <cstdint>
@@ -94,10 +96,12 @@ struct EngineConfig {
   /// the batch index / call counter) so distinct solves get distinct streams.
   std::uint64_t seed = 0x5eedf00dULL;
   /// PRAM-instrument each solve (single-threaded per solve, exact work/depth
-  /// in stats). false = wall-clock mode, inner primitives may use the pool.
+  /// in stats). false = wall-clock mode: a lone solve's inner primitives may
+  /// use the pool; fanned-out batch items run the serial kernels.
   bool instrument = true;
-  /// Pool for solve_batch fan-out (and, in wall-clock mode, inner
-  /// primitives). nullptr + use_global_pool → ThreadPool::global().
+  /// Pool for solve_batch fan-out (and, in wall-clock mode, the inner
+  /// primitives of solve(), resolve() and 1-item batches). nullptr +
+  /// use_global_pool → ThreadPool::global().
   par::ThreadPool* pool = nullptr;
   bool use_global_pool = true;
   /// Admission control (DESIGN.md §11–12): upper bound on solves in flight
@@ -214,9 +218,12 @@ class Engine {
                                         const SolveControl& control = {}) const;
 
   /// Solve every instance of `batch`, fanning across the pool (one solve per
-  /// task; serial fallback when no pool is bound). results[i] is
-  /// bit-identical to solve(batch[i], opts) with context seed derived from
-  /// index i — independent of thread count and scheduling. The request-level
+  /// task; serial fallback when no pool is bound). Fanned-out items bind no
+  /// inner pool, so the pool parallelises across whole solves only. results[i]
+  /// is bit-identical to solve(batch[i], opts) on a pool-less engine with the
+  /// context seed derived from index i — independent of thread count and
+  /// scheduling. (In wall-clock mode a batch with a single admitted item runs
+  /// like solve(): its primitives may fork on the pool.) The request-level
   /// `control` deadline combines with each item's Instance::deadline; under
   /// admission control, the deterministic prefix of the batch that fits the
   /// free slots plus free queue capacity is admitted (decided upfront in
@@ -337,6 +344,14 @@ class Engine {
     mcf::WarmStart* capture = nullptr;
   };
 
+  /// Which pool a solve's inner wall-clock primitives may fork on. kEngine:
+  /// the engine's pool (solve(), resolve(), a batch run as a serial loop).
+  /// kNone: the solve is one of several batch items fanned across that pool,
+  /// which then already runs whole solves in parallel; the item binds no
+  /// pool, so its primitives take the serial SIMD kernels (kWallSerial).
+  /// Instrumented solves never fork either way.
+  enum class InnerPool { kEngine, kNone };
+
   /// One solve under a fresh context derived from `salt`, with the resolved
   /// lifecycle configuration (deadline + up to two tokens) installed.
   /// `warm` (resolve path only) adopts the retained AccelCache into the
@@ -347,6 +362,7 @@ class Engine {
                                                   const core::Deadline& deadline,
                                                   const core::CancelToken* caller_token,
                                                   const core::CancelToken* engine_token,
+                                                  InnerPool inner,
                                                   const WarmPlumbing* warm = nullptr) const;
 
   /// How a request reaches its admission slot: a direct solve() acquires in
@@ -362,7 +378,7 @@ class Engine {
                                                   const SolveControl& control,
                                                   std::uint64_t salt,
                                                   const core::CancelToken* engine_token,
-                                                  AdmitMode mode,
+                                                  AdmitMode mode, InnerPool inner,
                                                   const WarmPlumbing* warm = nullptr) const;
 
   /// Create + register a fresh registry token when the caller asked for a

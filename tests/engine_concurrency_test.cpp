@@ -177,6 +177,37 @@ TEST_F(EngineConcurrencyTest, SolveBatchMatchesSerialLoopAcrossThreadCounts) {
   }
 }
 
+// Wall-clock twin of the test above: items fanned across a pool bind no
+// inner pool, so each runs the same serial kernels as on a pool-less engine
+// and the floating-point path, not just the exact answer, matches.
+TEST_F(EngineConcurrencyTest, WallSolveBatchMatchesPoolLessEngineAcrossThreadCounts) {
+  const auto graphs = make_graphs();
+  const auto opts = fast_opts();
+
+  std::vector<Instance> batch;
+  batch.reserve(kSolves);
+  for (const auto& g : graphs) batch.push_back(Instance::max_flow(g, 0, g.num_vertices() - 1));
+
+  const Engine serial_engine({.seed = 99, .instrument = false, .use_global_pool = false});
+  const auto baseline = serial_engine.solve_batch(batch, opts);
+  ASSERT_EQ(baseline.size(), kSolves);
+
+  for (const std::size_t threads : {2u, 4u}) {
+    SCOPED_TRACE(threads);
+    par::ThreadPool pool(threads);
+    const Engine pooled_engine(
+        {.seed = 99, .instrument = false, .pool = &pool, .use_global_pool = false});
+    const auto fanned = pooled_engine.solve_batch(batch, opts);
+    ASSERT_EQ(fanned.size(), kSolves);
+    for (std::size_t i = 0; i < kSolves; ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_EQ(fanned[i].result.status, SolveStatus::kOk);
+      EXPECT_TRUE(fanned[i].result.stats.certified);
+      expect_identical(baseline[i].result, fanned[i].result);
+    }
+  }
+}
+
 TEST_F(EngineConcurrencyTest, CancelOnUnpublishedOrRetiredHandleIsCleanNoOp) {
   const auto graphs = make_graphs();
   const Engine engine({.seed = 123, .use_global_pool = false});

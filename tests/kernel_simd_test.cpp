@@ -402,6 +402,15 @@ TEST_F(SimdKernelIdentityTest, IcColsAndLevels) {
 // Dispatch-level invariants (run in every build configuration).
 // ---------------------------------------------------------------------------
 
+TEST_F(KernelSimdTest, ForceScalarTogglesResolvedDispatchFlag) {
+  // enabled() is a flag resolved at startup; the override must re-resolve it.
+  EXPECT_EQ(linalg::simd::enabled(), linalg::simd::available());
+  linalg::simd::set_force_scalar(true);
+  EXPECT_FALSE(linalg::simd::enabled());
+  linalg::simd::set_force_scalar(false);
+  EXPECT_EQ(linalg::simd::enabled(), linalg::simd::available());
+}
+
 TEST_F(KernelSimdTest, RcmOrderIsPermutation) {
   par::Rng rng(20);
   const graph::Digraph g = graph::random_flow_network(60, 400, 30, 30, rng);
