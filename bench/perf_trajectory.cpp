@@ -1,24 +1,28 @@
-// Perf-trajectory driver: wall-clock scaling of the real runtime.
+// Perf-trajectory driver: the one bench harness.
 //
-// Unlike the google-benchmark binaries (which report PRAM counters under the
-// instrumented tracker), this driver measures the *actual* shared-memory
-// runtime: every workload is first run once in instrumented mode to capture
-// the model-level work/depth, then timed with the tracker disabled across a
-// sweep of thread-pool sizes. The output is a single JSON document
-// (schema "pmcf-perf-trajectory-v1", checked in as BENCH_pr<N>.json per PR)
-// so perf trajectories can be diffed across PRs.
+// Timed workloads are first run once in instrumented mode to capture the
+// model-level work/depth, then timed with the tracker disabled across a
+// sweep of thread-pool sizes. Rows of kind "paper" regenerate the
+// EXPERIMENTS.md tables instead: one instrumented pass per sweep point of the
+// experiment and no wall-clock sweep, since the tables use only model counts.
+// The output is a single JSON document (schema "pmcf-perf-trajectory-v1";
+// the checked-in BENCH_pr<N>.json files are full-scale runs of it) so perf
+// trajectories can be diffed across PRs.
 //
 // Usage:
 //   perf_trajectory [--out=FILE] [--threads=1,2,8] [--scale=tiny|full]
-//                   [--reps=N]
+//                   [--reps=N] [--list]
 //
-// `--scale=tiny` shrinks every instance so the whole sweep finishes in a few
-// seconds; CI uses it as a smoke test. Reported wall times are the minimum
-// over `reps` runs (after one warmup) — minimum, not mean, because scheduler
-// noise is strictly additive.
+// `--out` defaults to perf_trajectory.json in the working directory.
+// `--scale=tiny` shrinks every instance (and runs only the first sweep point
+// of each paper case) so the whole run finishes in a few seconds; CI uses it
+// as a smoke test. Reported wall times are the minimum over `reps` runs
+// (after one warmup) — minimum, not mean, because scheduler noise is
+// strictly additive.
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -26,25 +30,41 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "expander/unit_flow.hpp"
+#include "baselines/bellman_ford.hpp"
+#include "baselines/cost_scaling.hpp"
+#include "baselines/hopcroft_karp.hpp"
+#include "baselines/ssp.hpp"
+#include "core/deadline.hpp"
 #include "core/solver_context.hpp"
+#include "ds/dual_maintenance.hpp"
+#include "ds/gradient_maintenance.hpp"
+#include "ds/heavy_hitter.hpp"
+#include "ds/heavy_sampler.hpp"
+#include "ds/lewis_maintenance.hpp"
+#include "expander/dynamic_decomp.hpp"
+#include "expander/trimming.hpp"
+#include "expander/unit_flow.hpp"
+#include "graph/bfs.hpp"
 #include "graph/generators.hpp"
-#include "mcf/engine.hpp"
 #include "linalg/accel_cache.hpp"
 #include "linalg/incidence.hpp"
 #include "linalg/laplacian.hpp"
 #include "linalg/preconditioner.hpp"
 #include "linalg/sdd_solver.hpp"
-#include "core/deadline.hpp"
+#include "mcf/bipartite_matching.hpp"
 #include "mcf/certify.hpp"
+#include "mcf/engine.hpp"
 #include "mcf/min_cost_flow.hpp"
 #include "mcf/reachability.hpp"
+#include "mcf/sssp.hpp"
 #include "parallel/rng.hpp"
 #include "parallel/scheduler.hpp"
 #include "parallel/thread_pool.hpp"
@@ -57,7 +77,7 @@ using namespace pmcf;
 using Clock = std::chrono::steady_clock;
 
 struct Options {
-  std::string out = "BENCH_pr9.json";
+  std::string out = "perf_trajectory.json";
   std::vector<int> threads = {1, 2, 8};
   bool tiny = false;
   int reps = 5;
@@ -72,20 +92,22 @@ struct ThreadPoint {
 
 struct WorkloadReport {
   std::string name;
-  std::string kind;  // "table1" | "component" | "serving" | "soak"
+  std::string kind;  // "table1" | "component" | "serving" | "soak" | "paper"
   std::uint64_t work = 0;
   std::uint64_t depth = 0;
   std::vector<ThreadPoint> points;
   /// Pre-rendered JSON object with workload-specific metrics (soak reports:
-  /// latency percentiles, shed rate, per-priority goodput). Empty = absent.
+  /// latency percentiles, shed rate, per-priority goodput; paper rows: the
+  /// per-point counters). Empty = absent.
   std::string extras_json;
 };
 
 /// A workload is (setup-once state captured in the closure) + a body that can
 /// be run repeatedly. Bodies must be deterministic and self-contained. A
 /// workload with `standalone` set manages its own threads and timing (the
-/// soak harness drives client threads against a shared Engine); it is run
-/// once instead of going through the instrumented pass + thread sweep.
+/// soak harness drives client threads against a shared Engine; paper rows run
+/// one instrumented pass per sweep point); it is run once instead of going
+/// through the instrumented pass + thread sweep.
 struct Workload {
   std::string name;
   std::string kind;
@@ -132,70 +154,113 @@ WorkloadReport measure(const Workload& w, const Options& opt) {
 }
 
 // ---------------------------------------------------------------------------
-// Workload definitions. Sizes mirror the largest google-benchmark Args so the
-// JSON rows line up with the EXPERIMENTS.md tables.
+// Instance builders shared by the timed rows and the paper experiments: a
+// timed row whose instance is one sweep point of an experiment builds it here.
+
+/// The IPM options of the Table-1 rows and most paper experiments.
+mcf::SolveOptions reference_opts() {
+  mcf::SolveOptions opts;
+  opts.ipm.mu_end = 1e-3;
+  opts.ipm.leverage.sketch_dim = 8;
+  return opts;
+}
+
+/// Dense random min-cost flow network (m = 8n) of T1-L, seed 42.
+graph::Digraph table1_instance(graph::Vertex n) {
+  par::Rng rng(42);
+  return graph::random_flow_network(n, 8 * n, 6, 6, rng);
+}
+
+/// Long-diameter layered digraph of T1-R, seed 7.
+graph::Digraph layered_instance(graph::Vertex layers) {
+  par::Rng rng(7);
+  return graph::layered_digraph(layers, 4, 0.3, rng);
+}
+
+/// A.1's Laplacian system (A^T D A) x = b on a dense random network with
+/// IPM-typical diagonal scalings.
+struct SddInstance {
+  graph::Digraph g;
+  linalg::Vec d;
+  linalg::Vec b;
+  graph::Vertex dropped = 0;
+};
+
+std::shared_ptr<const SddInstance> sdd_instance(graph::Vertex n, std::int64_t density) {
+  par::Rng rng(12345);
+  auto s = std::make_shared<SddInstance>();
+  s->g = graph::random_flow_network(n, density * n, 100, 100, rng);
+  const linalg::IncidenceOp a(s->g);
+  s->d.resize(a.rows());
+  for (auto& x : s->d) x = 0.5 + rng.next_double();
+  s->b.resize(a.cols());
+  for (auto& x : s->b) x = rng.next_double() - 0.5;
+  s->dropped = a.dropped();
+  s->b[static_cast<std::size_t>(s->dropped)] = 0.0;
+  return s;
+}
+
+linalg::SolveResult solve_sdd_instance(const SddInstance& s) {
+  const linalg::Csr lap = linalg::reduced_laplacian(s.g, s.d, s.dropped);
+  return linalg::solve_sdd(pmcf::core::default_context(), lap, s.b,
+                           {.tolerance = 1e-8, .max_iters = 2000});
+}
+
+/// L3.11's unit-flow problem on a 4-regular expander, seed 17: concentrated
+/// sources (several times the local sink capacity) force the push-relabel
+/// dynamics to spread flow; sinks absorb half a degree each.
+struct UnitFlowInstance {
+  graph::UndirectedGraph g;
+  expander::UnitFlowProblem p;
+};
+
+std::shared_ptr<const UnitFlowInstance> unit_flow_instance(graph::Vertex n,
+                                                           std::size_t sources) {
+  par::Rng rng(17);
+  auto s = std::make_shared<UnitFlowInstance>(
+      UnitFlowInstance{graph::random_regular_expander(n, 4, rng), {}});
+  expander::UnitFlowProblem& p = s->p;
+  p.g = &s->g;
+  p.cap.assign(s->g.edge_slots(), 8);
+  p.source.assign(static_cast<std::size_t>(n), 0);
+  p.sink.assign(static_cast<std::size_t>(n), 0);
+  for (std::size_t k = 0; k < sources; ++k)
+    p.source[rng.next_below(static_cast<std::uint64_t>(n))] += 6 * 8;
+  for (graph::Vertex v = 0; v < n; ++v) p.sink[static_cast<std::size_t>(v)] = s->g.degree(v) / 2;
+  p.height = 24;
+  return s;
+}
+
+// ---------------------------------------------------------------------------
+// Timed workloads.
 
 Workload make_sdd_solver(bool tiny) {
-  const auto n = static_cast<graph::Vertex>(tiny ? 64 : 512);
-  const std::int64_t m = static_cast<std::int64_t>(n) * 8;
-  par::Rng rng(12345);
-  auto g = std::make_shared<graph::Digraph>(graph::random_flow_network(n, m, 100, 100, rng));
-  const linalg::IncidenceOp a(*g);
-  auto d = std::make_shared<linalg::Vec>(a.rows());
-  for (auto& x : *d) x = 0.5 + rng.next_double();
-  auto b = std::make_shared<linalg::Vec>(a.cols());
-  for (auto& x : *b) x = rng.next_double() - 0.5;
-  (*b)[static_cast<std::size_t>(a.dropped())] = 0.0;
-  const auto dropped = a.dropped();
-  return {"sdd_solver_cg", "component", [g, d, b, dropped] {
-            const linalg::Csr lap = linalg::reduced_laplacian(*g, *d, dropped);
-            const auto res = linalg::solve_sdd(pmcf::core::default_context(), lap, *b, {.tolerance = 1e-8, .max_iters = 2000});
-            if (res.x.empty()) std::abort();
+  const auto s = sdd_instance(tiny ? 64 : 512, 8);  // A.1 at (512, 8)
+  return {"sdd_solver_cg", "component", [s] {
+            if (solve_sdd_instance(*s).x.empty()) std::abort();
           }};
 }
 
 Workload make_unit_flow(bool tiny) {
-  const auto n = static_cast<graph::Vertex>(tiny ? 500 : 8000);
-  par::Rng rng(17);
-  auto g = std::make_shared<graph::UndirectedGraph>(graph::random_regular_expander(n, 4, rng));
-  auto p = std::make_shared<expander::UnitFlowProblem>();
-  p->g = g.get();
-  p->cap.assign(g->edge_slots(), 8);
-  p->source.assign(static_cast<std::size_t>(n), 0);
-  p->sink.assign(static_cast<std::size_t>(n), 0);
-  for (std::size_t k = 0; k < 2; ++k)
-    p->source[rng.next_below(static_cast<std::uint64_t>(n))] += 6 * 8;
-  for (graph::Vertex v = 0; v < n; ++v) p->sink[static_cast<std::size_t>(v)] = g->degree(v) / 2;
-  p->height = 24;
-  return {"unit_flow", "component", [g, p] {
-            const auto r = expander::parallel_unit_flow(*p);
-            if (r.flow.empty()) std::abort();
+  const auto s = unit_flow_instance(tiny ? 500 : 8000, 2);  // L3.11 at (8000, 2)
+  return {"unit_flow", "component", [s] {
+            if (expander::parallel_unit_flow(s->p).flow.empty()) std::abort();
           }};
 }
 
 Workload make_table1_mincostflow(bool tiny) {
-  const auto n = static_cast<graph::Vertex>(tiny ? 12 : 32);
-  par::Rng rng(42);
-  auto g = std::make_shared<graph::Digraph>(graph::random_flow_network(n, 8 * n, 6, 6, rng));
+  const auto n = static_cast<graph::Vertex>(tiny ? 12 : 32);  // T1-L ReferenceIpm at 32
+  auto g = std::make_shared<const graph::Digraph>(table1_instance(n));
   return {"table1_mincostflow_reference_ipm", "table1", [g, n] {
-            mcf::SolveOptions opts;
-            opts.ipm.mu_end = 1e-3;
-            opts.ipm.leverage.sketch_dim = 8;
-            const auto res = mcf::min_cost_max_flow(*g, 0, n - 1, opts);
-            (void)res.cost;
+            (void)mcf::min_cost_max_flow(*g, 0, n - 1, reference_opts()).cost;
           }};
 }
 
 Workload make_table1_reachability(bool tiny) {
-  const auto layers = static_cast<graph::Vertex>(tiny ? 8 : 16);
-  par::Rng rng(7);
-  auto g = std::make_shared<graph::Digraph>(graph::layered_digraph(layers, 4, 0.3, rng));
+  // T1-R FlowReachability at 16 (tiny: at 8).
+  auto g = std::make_shared<const graph::Digraph>(layered_instance(tiny ? 8 : 16));
   return {"table1_reachability_flow", "table1", [g] {
-            mcf::SolveOptions opts;
-            opts.ipm.mu_end = 1e-3;
-            opts.ipm.leverage.sketch_dim = 8;
-            const auto res = mcf::reachability(*g, 0, opts);
-            (void)res.reachable;
+            (void)mcf::reachability(*g, 0, reference_opts()).reachable;
           }};
 }
 
@@ -433,10 +498,7 @@ Workload make_engine_batch(bool tiny) {
     batch->push_back(Instance::max_flow(g, 0, g.num_vertices() - 1));
   return {"engine_solve_batch", "serving", [graphs, batch] {
             const Engine engine({.seed = 4242});
-            mcf::SolveOptions opts;
-            opts.ipm.mu_end = 1e-3;
-            opts.ipm.leverage.sketch_dim = 8;
-            const auto results = engine.solve_batch(*batch, opts);
+            const auto results = engine.solve_batch(*batch, reference_opts());
             // A batch of independent solves is PRAM work = sum, depth = max;
             // aggregate the per-solve trackers into the ambient one so the
             // instrumented pass reports the batch-level counters.
@@ -478,10 +540,7 @@ Workload make_engine_deadline_shed(bool tiny) {
   const std::size_t slots = batch_size / 2 + batch_size / 4;  // sheds the tail
   return {"engine_deadline_shed", "serving", [graphs, batch, batch_size, slots] {
             const Engine engine({.seed = 4243, .max_in_flight = slots});
-            mcf::SolveOptions opts;
-            opts.ipm.mu_end = 1e-3;
-            opts.ipm.leverage.sketch_dim = 8;
-            const auto results = engine.solve_batch(*batch, opts);
+            const auto results = engine.solve_batch(*batch, reference_opts());
             std::uint64_t work = 0;
             std::uint64_t depth = 0;
             for (std::size_t i = 0; i < results.size(); ++i) {
@@ -560,12 +619,9 @@ Workload make_certify_overhead(bool tiny) {
   // table1_mincostflow_reference_ipm to get the certification overhead as a
   // fraction of the end-to-end solve — the acceptance bound is < 5%.
   const auto n = static_cast<graph::Vertex>(tiny ? 12 : 32);
-  par::Rng rng(42);  // same instance as make_table1_mincostflow
-  auto g = std::make_shared<graph::Digraph>(graph::random_flow_network(n, 8 * n, 6, 6, rng));
-  mcf::SolveOptions opts;
-  opts.ipm.mu_end = 1e-3;
-  opts.ipm.leverage.sketch_dim = 8;
-  auto sol = std::make_shared<mcf::MinCostFlowResult>(mcf::min_cost_max_flow(*g, 0, n - 1, opts));
+  auto g = std::make_shared<const graph::Digraph>(table1_instance(n));  // as the T1-L row
+  auto sol = std::make_shared<mcf::MinCostFlowResult>(
+      mcf::min_cost_max_flow(*g, 0, n - 1, reference_opts()));
   if (sol->status != SolveStatus::kOk) std::abort();
   return {"certify_overhead", "table1", [g, n, sol] {
             const auto report =
@@ -621,9 +677,7 @@ Workload make_incremental_resolve(bool tiny) {
     const graph::Digraph g0 = graph::random_flow_network(n, m, 6, 6, graph_rng);
     graph::Digraph mirror = g0;  // tracks the deltas for the cold reference
 
-    mcf::SolveOptions opts;
-    opts.ipm.mu_end = 1e-3;
-    opts.ipm.leverage.sketch_dim = 8;
+    const mcf::SolveOptions opts = reference_opts();
 
     // Wall-clock serial on both sides: the acceptance comparison is at one
     // thread, with the tracker off (measure() is bypassed for standalones).
@@ -716,9 +770,7 @@ Workload make_instance_churn(bool tiny) {
             cfg.seed = 4245;
             cfg.instance_cache_capacity = fleet / 2;
             const Engine engine(cfg);
-            mcf::SolveOptions opts;
-            opts.ipm.mu_end = 1e-3;
-            opts.ipm.leverage.sketch_dim = 8;
+            const mcf::SolveOptions opts = reference_opts();
 
             std::vector<InstanceHandle> handles;
             for (const auto& g : *graphs) {
@@ -757,6 +809,450 @@ Workload make_instance_churn(bool tiny) {
             }
             par::charge(work, depth);
           }};
+}
+
+// ---------------------------------------------------------------------------
+// Paper experiments (EXPERIMENTS.md, DESIGN.md §4): one "paper" row per
+// experiment. A row holds one or more cases (the solvers or operations a
+// table compares), each with its sweep of `Args` points. Every point builds
+// its instance, runs the body once under a freshly reset tracker, and reports
+// {case, args, work, depth, <case counters>} in the row's `metrics.points`.
+
+using Args = std::vector<std::int64_t>;
+using Counters = std::vector<std::pair<std::string, double>>;
+
+struct PaperCase {
+  std::string name;
+  std::vector<Args> sweep;
+  std::function<Counters(const Args&)> run;
+};
+
+/// Runs `body` once on a reset tracker; `body` returns the case's counters,
+/// and the pass's work and depth go first. Instance setup stays outside, so
+/// only the measured operation is charged.
+template <class Body>
+Counters instrumented(Body&& body) {
+  par::Tracker::instance().reset();
+  Counters counters = body();
+  const par::Cost c = par::snapshot();
+  counters.insert(counters.begin(), {{"work", static_cast<double>(c.work)},
+                                     {"depth", static_cast<double>(c.depth)}});
+  return counters;
+}
+
+Workload paper_row(const std::string& name, bool tiny, std::vector<PaperCase> cases) {
+  Workload w;
+  w.name = name;
+  w.kind = "paper";
+  w.standalone = [name, tiny, cases = std::move(cases)] {
+    par::ThreadPool::configure(1);
+    par::Tracker::instance().set_enabled(true);
+    std::ostringstream os;
+    os << "{\"points\": [";
+    const char* sep = "\n";
+    const auto t0 = Clock::now();
+    for (const PaperCase& c : cases) {
+      for (std::size_t i = 0; i < (tiny ? 1 : c.sweep.size()); ++i) {
+        const Args& args = c.sweep[i];
+        os << sep << "        {\"case\": \"" << c.name << "\", \"args\": [";
+        for (std::size_t j = 0; j < args.size(); ++j) os << (j > 0 ? ", " : "") << args[j];
+        os << "]";
+        for (const auto& [key, value] : c.run(args)) {
+          char num[32];
+          std::snprintf(num, sizeof(num), "%.17g", value);  // round-trips the double
+          os << ", \"" << key << "\": " << num;
+        }
+        os << "}";
+        sep = ",\n";
+      }
+    }
+    os << "\n      ]}";
+    WorkloadReport rep;
+    rep.name = name;
+    rep.kind = "paper";
+    rep.points.push_back(
+        {1, std::chrono::duration<double, std::milli>(Clock::now() - t0).count(), 1.0});
+    rep.extras_json = os.str();
+    return rep;
+  };
+  return w;
+}
+
+graph::Vertex vertices(const Args& a) { return static_cast<graph::Vertex>(a[0]); }
+
+// T1-L — Table 1 (left): the reference IPM is the [LS14] Õ(m√n) row, the
+// robust IPM this paper's; `step_work` is its Õ(m/√n + n) per-step quantity.
+Workload make_paper_table1_mincostflow(bool tiny) {
+  return paper_row(
+      "paper_table1_mincostflow", tiny,
+      {{"ReferenceIpm", {{16}, {24}, {32}, {48}},
+        [](const Args& a) {
+          const auto n = vertices(a);
+          const auto g = table1_instance(n);
+          return instrumented([&]() -> Counters {
+            const auto res = mcf::min_cost_max_flow(g, 0, n - 1, reference_opts());
+            return {{"ipm_iters", res.stats.ipm_iterations}, {"m", g.num_arcs()}};
+          });
+        }},
+       {"RobustIpm", {{12}, {16}},
+        [](const Args& a) {
+          const auto n = vertices(a);
+          const auto g = table1_instance(n);
+          return instrumented([&]() -> Counters {
+            mcf::SolveOptions opts;
+            opts.method = mcf::Method::kRobustIpm;
+            opts.ipm.mu_end = 1e-3;
+            const mcf::SolveStats s = mcf::min_cost_max_flow(g, 0, n - 1, opts).stats;
+            const double step_work = s.robust_steps > 0
+                                         ? static_cast<double>(s.robust_step_work) /
+                                               static_cast<double>(s.robust_steps)
+                                         : 0.0;
+            return {{"ipm_iters", s.ipm_iterations}, {"step_work", step_work}, {"m", g.num_arcs()}};
+          });
+        }},
+       {"SspBaseline", {{16}, {32}, {64}, {128}},
+        [](const Args& a) {
+          const auto n = vertices(a);
+          const auto g = table1_instance(n);
+          return instrumented([&]() -> Counters {
+            (void)baselines::ssp_min_cost_max_flow(g, 0, n - 1);
+            return {{"m", g.num_arcs()}};
+          });
+        }},
+       {"CostScalingBaseline", {{16}, {32}, {64}, {128}},
+        [](const Args& a) {
+          const auto n = vertices(a);
+          const auto g = table1_instance(n);
+          return instrumented([&]() -> Counters {
+            const auto res = baselines::cost_scaling_max_flow(g, 0, n - 1);
+            return {{"refine_phases", res.refine_phases}, {"m", g.num_arcs()}};
+          });
+        }}});
+}
+
+// T1-R — Table 1 (right): parallel BFS depth grows with the diameter
+// (`bfs_rounds`); flow-based reachability's with its Õ(√n) `ipm_iters`.
+Workload make_paper_table1_reachability(bool tiny) {
+  return paper_row(
+      "paper_table1_reachability", tiny,
+      {{"ParallelBfs", {{32}, {64}, {128}, {256}},
+        [](const Args& a) {
+          auto g = layered_instance(vertices(a));
+          g.build_csr();
+          return instrumented(
+              [&]() -> Counters { return {{"bfs_rounds", graph::parallel_bfs(g, 0).rounds}}; });
+        }},
+       {"FlowReachability", {{8}, {16}, {32}},
+        [](const Args& a) {
+          const auto g = layered_instance(vertices(a));
+          return instrumented([&]() -> Counters {
+            return {{"ipm_iters", mcf::reachability(g, 0, reference_opts()).stats.ipm_iterations}};
+          });
+        }}});
+}
+
+// F-ITERS — Õ(√n log(CW)) iterations: iters/√n stays roughly flat while
+// iters/n decays.
+Workload make_paper_ipm_iterations(bool tiny) {
+  return paper_row(
+      "paper_ipm_iterations", tiny,
+      {{"IterationsVsN", {{12}, {24}, {48}, {96}}, [](const Args& a) {
+          const auto n = vertices(a);
+          par::Rng rng(11);
+          const auto g = graph::random_flow_network(n, 6 * n, 4, 4, rng);
+          return instrumented([&]() -> Counters {
+            const double iters =
+                mcf::min_cost_max_flow(g, 0, n - 1, reference_opts()).stats.ipm_iterations;
+            return {{"iters", iters},
+                    {"iters_per_sqrt_n", iters / std::sqrt(static_cast<double>(n))},
+                    {"iters_per_n", iters / n}};
+          });
+        }}});
+}
+
+// L3.1 — dynamic expander decomposition under batched deletion churn:
+// Õ(|E'|/φ^5) amortized work, Õ(1/φ^4) depth per batch.
+Workload make_paper_dynamic_expander(bool tiny) {
+  return paper_row(
+      "paper_dynamic_expander", tiny,
+      {{"ChurnUpdates", {{100, 4}, {200, 4}, {400, 4}, {200, 16}, {200, 64}}, [](const Args& a) {
+          using expander::DynamicExpanderDecomposition;
+          const auto n = vertices(a);
+          par::Rng rng(13);
+          const auto g = graph::random_regular_expander(n, 4, rng);
+          return instrumented([&]() -> Counters {
+            DynamicExpanderDecomposition dec(pmcf::core::default_context(), n, {.phi = 0.1});
+            std::vector<DynamicExpanderDecomposition::EdgeSpec> edges;
+            for (const auto e : g.live_edges()) {
+              const auto ep = g.endpoints(e);
+              edges.push_back({ep.u, ep.v, e});
+            }
+            dec.insert(edges);
+            std::int64_t next = 0;
+            for (int round = 0; round < 10; ++round) {
+              std::vector<std::int64_t> del;
+              for (std::int64_t k = 0; k < a[1]; ++k) del.push_back(next++);
+              dec.erase(del);
+            }
+            return {{"updates", next}, {"m", g.num_edges()}};
+          });
+        }}});
+}
+
+// L3.11 — ParallelUnitFlow: `edge_scans` scales with the source support
+// ‖Δ‖₀, not with m.
+Workload make_paper_unit_flow(bool tiny) {
+  return paper_row(
+      "paper_unit_flow", tiny,
+      {{"UnitFlow", {{500, 2}, {2000, 2}, {8000, 2}, {2000, 8}, {2000, 32}}, [](const Args& a) {
+          const auto s = unit_flow_instance(vertices(a), static_cast<std::size_t>(a[1]));
+          return instrumented([&]() -> Counters {
+            const auto r = expander::parallel_unit_flow(s->p);
+            return {{"edge_scans", r.edge_scans},
+                    {"leftover_excess", r.total_excess},
+                    {"m", s->g.num_edges()}};
+          });
+        }}});
+}
+
+// L3.7 — Trimming: work Õ(|E(A, V\A)|/φ^4) tracks the boundary, not m.
+Workload make_paper_trimming(bool tiny) {
+  return paper_row(
+      "paper_trimming", tiny,
+      {{"Trimming", {{200, 2}, {200, 8}, {200, 32}, {800, 8}, {3200, 8}}, [](const Args& a) {
+          const auto n = vertices(a);
+          par::Rng rng(19);
+          auto g = graph::random_regular_expander(n, 4, rng);
+          std::vector<std::int64_t> boundary(static_cast<std::size_t>(n), 0);
+          const auto live = g.live_edges();
+          for (std::int64_t k = 0; k < a[1]; ++k) {
+            const auto e = live[rng.next_below(live.size())];
+            if (!g.is_live(e)) continue;
+            const auto ep = g.endpoints(e);
+            boundary[static_cast<std::size_t>(ep.u)] += 1;
+            boundary[static_cast<std::size_t>(ep.v)] += 1;
+            g.delete_edge(e);
+          }
+          return instrumented([&]() -> Counters {
+            const auto r = expander::trimming(g, std::vector<char>(static_cast<std::size_t>(n), 1),
+                                              boundary, {.phi = 0.1});
+            return {{"removed_volume", r.removed_volume},
+                    {"edge_scans", r.edge_scans},
+                    {"m", g.num_edges()}};
+          });
+        }}});
+}
+
+// B.1 — HeavyHitter: query `scans` track n + #heavy rows, not m; `Scale`
+// moves 16 rows between weight buckets.
+Workload make_paper_heavy_hitter(bool tiny) {
+  return paper_row(
+      "paper_heavy_hitter", tiny,
+      {{"HeavyQuery", {{100, 6}, {200, 6}, {400, 6}, {200, 12}, {200, 24}},
+        [](const Args& a) {
+          const auto n = vertices(a);
+          par::Rng rng(23);
+          const auto g = graph::random_flow_network(n, a[1] * n, 4, 4, rng);
+          linalg::Vec w(static_cast<std::size_t>(g.num_arcs()));
+          for (auto& x : w) x = 0.5 + rng.next_double();
+          ds::HeavyHitter hh(pmcf::core::default_context(), g, w);
+          // Localized potential: a few heavy rows regardless of m.
+          linalg::Vec h(static_cast<std::size_t>(n), 0.0);
+          h[1] = 3.0;
+          h[2] = -3.0;
+          return instrumented([&]() -> Counters {
+            return {{"heavy_found", hh.heavy_query(h, 2.0).size()},
+                    {"scans", hh.last_query_scans()},
+                    {"m", g.num_arcs()}};
+          });
+        }},
+       {"Scale", {{100}, {200}, {400}}, [](const Args& a) {
+          const auto n = vertices(a);
+          par::Rng rng(29);
+          const auto g = graph::random_flow_network(n, 8 * n, 4, 4, rng);
+          ds::HeavyHitter hh(pmcf::core::default_context(), g,
+                             linalg::Vec(static_cast<std::size_t>(g.num_arcs()), 1.0));
+          return instrumented([&]() -> Counters {
+            std::vector<std::size_t> idx;
+            linalg::Vec vals;
+            for (std::size_t k = 0; k < 16; ++k) {
+              idx.push_back(rng.next_below(static_cast<std::uint64_t>(g.num_arcs())));
+              vals.push_back(0.1 + 4.0 * rng.next_double());
+            }
+            hh.scale(idx, vals);
+            return {{"m", g.num_arcs()}};
+          });
+        }}});
+}
+
+// C.1 — dynamic Lewis weights over 20 queries under slow drift: amortized
+// Õ(n + m/√n) per query.
+Workload make_paper_lewis_weights(bool tiny) {
+  return paper_row(
+      "paper_lewis_weights", tiny,
+      {{"LewisMaintenance", {{50, 6}, {100, 6}, {200, 6}, {100, 12}}, [](const Args& a) {
+          const auto n = vertices(a);
+          par::Rng rng(31);
+          const auto g = graph::random_flow_network(n, a[1] * n, 4, 4, rng);
+          const linalg::IncidenceOp inc(g);
+          linalg::Vec w(inc.rows());
+          for (auto& x : w) x = 0.5 + rng.next_double();
+          return instrumented([&]() -> Counters {
+            const int queries = 20;
+            ds::LewisMaintenanceOptions opts;
+            opts.leverage.leverage.sketch_dim = 8;
+            ds::LewisMaintenance lm(
+                pmcf::core::default_context(), inc, w,
+                linalg::constant(inc.rows(), static_cast<double>(n) / inc.rows()), opts);
+            for (int t = 0; t < queries; ++t) {
+              const std::vector<std::size_t> idx{
+                  static_cast<std::size_t>(rng.next_below(inc.rows()))};
+              w[idx[0]] *= 1.01;
+              lm.scale(idx, {w[idx[0]]});
+              (void)lm.query();
+            }
+            return {{"queries", queries}, {"m", inc.rows()}};
+          });
+        }}});
+}
+
+// D.1 — primal/gradient maintenance over 30 query rounds: per-round cost is
+// buckets + triggered coordinates (`changed_total`), not m.
+Workload make_paper_primal_gradient(bool tiny) {
+  return paper_row(
+      "paper_primal_gradient", tiny,
+      {{"PrimalGradientRounds", {{50, 6}, {100, 6}, {200, 6}, {100, 12}}, [](const Args& a) {
+          par::Rng rng(37);
+          const auto g = graph::random_flow_network(vertices(a), a[1] * a[0], 4, 4, rng);
+          const linalg::IncidenceOp inc(g);
+          const std::size_t m = inc.rows();
+          linalg::Vec weights(m), tau(m), z(m);
+          for (std::size_t i = 0; i < m; ++i) {
+            weights[i] = 0.5 + rng.next_double();
+            tau[i] = 0.1 + rng.next_double();
+            z[i] = 2.0 * rng.next_double() - 1.0;
+          }
+          return instrumented([&]() -> Counters {
+            const int rounds = 30;
+            ds::PrimalGradientMaintenance pg(inc, linalg::Vec(m, 1.0), weights, tau, z,
+                                             linalg::Vec(m, 0.05));
+            std::size_t changed = 0;
+            for (int t = 0; t < rounds; ++t) {
+              (void)pg.query_product();
+              changed += pg.query_sum({}, {}).changed.size();
+            }
+            return {{"rounds", rounds}, {"changed_total", changed}, {"m", m}};
+          });
+        }}});
+}
+
+// E.1 — dual maintenance over 20 ADDs of sparse steps: Õ(n log W +
+// drift²/ε²) per ADD, no O(m) term.
+Workload make_paper_dual_maintenance(bool tiny) {
+  return paper_row(
+      "paper_dual_maintenance", tiny,
+      {{"DualAdds", {{50, 6}, {100, 6}, {200, 6}, {100, 12}}, [](const Args& a) {
+          const auto n = vertices(a);
+          par::Rng rng(41);
+          const auto g = graph::random_flow_network(n, a[1] * n, 4, 4, rng);
+          const auto m = static_cast<std::size_t>(g.num_arcs());
+          return instrumented([&]() -> Counters {
+            const int adds = 20;
+            ds::DualMaintenance dm(pmcf::core::default_context(), g, linalg::Vec(m, 0.0),
+                                   linalg::Vec(m, 1.0), {.eps = 0.2});
+            std::size_t changed = 0;
+            for (int t = 0; t < adds; ++t) {
+              linalg::Vec h(static_cast<std::size_t>(n), 0.0);
+              for (int k = 0; k < 3; ++k)
+                h[rng.next_below(static_cast<std::uint64_t>(n - 1))] +=
+                    0.02 * (rng.next_double() - 0.5);
+              changed += dm.add(h).changed.size();
+            }
+            return {{"adds", adds}, {"changed_total", changed}, {"m", m}};
+          });
+        }}});
+}
+
+// E.2 — HeavySampler over 5 draws: the sample size grows like m/√n, far
+// below m.
+Workload make_paper_heavy_sampler(bool tiny) {
+  return paper_row(
+      "paper_heavy_sampler", tiny,
+      {{"Sample", {{64, 8}, {64, 16}, {64, 32}, {256, 8}}, [](const Args& a) {
+          const auto n = vertices(a);
+          par::Rng rng(43);
+          const auto g = graph::random_flow_network(n, a[1] * n, 4, 4, rng);
+          const auto m = static_cast<std::size_t>(g.num_arcs());
+          ds::HeavySampler hs(pmcf::core::default_context(), g, linalg::Vec(m, 1.0),
+                              linalg::Vec(m, static_cast<double>(n) / static_cast<double>(m)));
+          linalg::Vec h(static_cast<std::size_t>(n));
+          for (auto& x : h) x = rng.next_double() - 0.5;
+          h[static_cast<std::size_t>(n - 1)] = 0.0;
+          return instrumented([&]() -> Counters {
+            const int draws = 5;
+            std::size_t total = 0;
+            for (int t = 0; t < draws; ++t) total += hs.sample(h).size();
+            return {{"avg_sample_size", static_cast<double>(total) / draws}, {"m", m}};
+          });
+        }}});
+}
+
+// A.1 — SDD solver: work near-linear in nnz with flat CG iterations.
+Workload make_paper_sdd_solver(bool tiny) {
+  return paper_row(
+      "paper_sdd_solver", tiny,
+      {{"SddSolve", {{64, 8}, {128, 8}, {256, 8}, {512, 8}, {256, 16}, {256, 32}},
+        [](const Args& a) {
+          const auto s = sdd_instance(vertices(a), a[1]);
+          return instrumented([&]() -> Counters {
+            return {{"cg_iters", solve_sdd_instance(*s).iterations}, {"m", a[0] * a[1]}};
+          });
+        }}});
+}
+
+// C1.3–1.5 — corollaries via min-cost flow against combinatorial oracles:
+// bipartite matching vs Hopcroft–Karp, negative-weight SSSP vs Bellman–Ford.
+Workload make_paper_corollaries(bool tiny) {
+  const auto bipartite = [](const Args& a) {
+    par::Rng rng(47);
+    return graph::random_bipartite(vertices(a), vertices(a), 0.2, rng);
+  };
+  const auto negative_dag = [](const Args& a) {
+    par::Rng rng(53);
+    return graph::random_negative_dag(vertices(a), 4 * vertices(a), 5, 10, rng);
+  };
+  return paper_row(
+      "paper_corollaries", tiny,
+      {{"MatchingViaFlow", {{8}, {12}, {16}},
+        [bipartite](const Args& a) {
+          const auto g = bipartite(a);
+          return instrumented([&]() -> Counters {
+            const auto n = vertices(a);
+            return {{"matching", mcf::bipartite_matching(g, n, n, reference_opts()).size}};
+          });
+        }},
+       {"MatchingHopcroftKarp", {{8}, {16}, {64}, {256}},
+        [bipartite](const Args& a) {
+          const auto g = bipartite(a);
+          return instrumented([&]() -> Counters {
+            return {{"matching", baselines::hopcroft_karp(g, vertices(a), vertices(a)).size}};
+          });
+        }},
+       {"SsspViaFlow", {{10}, {14}, {20}},
+        [negative_dag](const Args& a) {
+          const auto g = negative_dag(a);
+          return instrumented([&]() -> Counters {
+            (void)mcf::shortest_paths(g, 0, reference_opts());
+            return {};
+          });
+        }},
+       {"SsspBellmanFord", {{10}, {100}, {1000}}, [negative_dag](const Args& a) {
+          const auto g = negative_dag(a);
+          return instrumented([&]() -> Counters {
+            (void)baselines::bellman_ford(g, 0);
+            return {};
+          });
+        }}});
 }
 
 // ---------------------------------------------------------------------------
@@ -884,6 +1380,19 @@ int main(int argc, char** argv) {
   workloads.push_back(make_engine_soak_burst(opt.tiny));
   workloads.push_back(make_incremental_resolve(opt.tiny));
   workloads.push_back(make_instance_churn(opt.tiny));
+  workloads.push_back(make_paper_table1_mincostflow(opt.tiny));
+  workloads.push_back(make_paper_table1_reachability(opt.tiny));
+  workloads.push_back(make_paper_ipm_iterations(opt.tiny));
+  workloads.push_back(make_paper_dynamic_expander(opt.tiny));
+  workloads.push_back(make_paper_unit_flow(opt.tiny));
+  workloads.push_back(make_paper_trimming(opt.tiny));
+  workloads.push_back(make_paper_heavy_hitter(opt.tiny));
+  workloads.push_back(make_paper_lewis_weights(opt.tiny));
+  workloads.push_back(make_paper_primal_gradient(opt.tiny));
+  workloads.push_back(make_paper_dual_maintenance(opt.tiny));
+  workloads.push_back(make_paper_heavy_sampler(opt.tiny));
+  workloads.push_back(make_paper_sdd_solver(opt.tiny));
+  workloads.push_back(make_paper_corollaries(opt.tiny));
 
   if (opt.list) {
     // One name per line, then the count — CI asserts the count so a workload
