@@ -133,9 +133,11 @@ EdgeId live_arc(const pmcf::InstanceRecord& rec, std::uint64_t draw) {
     } else if (rec->solver_graph.num_arcs() > 20) {
       d.remove_arcs.push_back(live_arc(*rec, rng.next_u64()));
     }
-    // The occasional IPM re-solve keeps warm central-path artifacts flowing
-    // into snapshots; the combinatorial bulk keeps the journal append rate
-    // high so kills land mid-append.
+    // The occasional IPM-method resolve keeps warm central-path artifacts
+    // flowing into snapshots whenever it runs the IPM (structural deltas and
+    // repair fallbacks; other value deltas are served by the optimum
+    // repair); the combinatorial bulk keeps the journal append rate high so
+    // kills land mid-append.
     const auto res =
         engine.resolve(h, d, iter % 7 == 0 ? ipm_opts() : combinatorial_opts());
     if (res.result.status != SolveStatus::kOk &&

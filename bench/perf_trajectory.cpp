@@ -659,13 +659,15 @@ Workload make_preset_sweep(bool tiny) {
 Workload make_incremental_resolve(bool tiny) {
   // The cross-solve instance cache (DESIGN.md §15) doing its headline job:
   // after one priming solve, every round perturbs ~1% of the arc costs by ±1
-  // and re-solves warm through Engine::resolve — AccelCache adoption,
-  // drift-gated preconditioner reuse, and a central-path restart at boosted
-  // mu. Each round also solves the identical post-delta instance cold on a
-  // separate engine; the report's extras carry the measured cold/warm wall
-  // times, the warm speedup (acceptance gate: >= 3x at full scale, >= 1x in
-  // the CI tiny smoke), and the engine's cache hit rate. Costs must agree
-  // exactly every round — both sides are independently certified.
+  // and re-solves warm through Engine::resolve, which repairs the retained
+  // optimum for the new costs (budgeted cycle canceling, no IPM run); only a
+  // repair over budget restarts the IPM from the central path with the
+  // adopted AccelCache. Each round also solves the identical post-delta
+  // instance cold on a separate engine; the report's extras carry the
+  // measured cold/warm wall times, the warm speedup (acceptance gate: >= 3x
+  // at full scale, >= 1x in the CI tiny smoke), the engine's cache hit rate,
+  // and how many warm rounds the repair served or fell back from. Costs must
+  // agree exactly every round — both sides are independently certified.
   Workload w;
   w.name = "incremental_resolve";
   w.kind = "serving";
@@ -738,12 +740,15 @@ Workload make_incremental_resolve(bool tiny) {
     rep.kind = "serving";
     rep.points.push_back(
         {1, std::chrono::duration<double, std::milli>(t_end - t_begin).count(), 1.0});
-    char extras[256];
+    char extras[320];
     std::snprintf(extras, sizeof(extras),
                   "{\"rounds\": %d, \"cold_ms\": %.4f, \"warm_ms\": %.4f, "
-                  "\"warm_speedup\": %.3f, \"cache_hit_rate\": %.3f}",
+                  "\"warm_speedup\": %.3f, \"cache_hit_rate\": %.3f, \"repaired\": %llu, "
+                  "\"repair_fallbacks\": %llu}",
                   rounds, cold_ms, warm_ms, warm_ms > 0.0 ? cold_ms / warm_ms : 0.0,
-                  hit_rate);
+                  hit_rate,
+                  static_cast<unsigned long long>(snap.of(EngineCounter::kResolveRepaired)),
+                  static_cast<unsigned long long>(snap.of(EngineCounter::kResolveRepairFallback)));
     rep.extras_json = extras;
     return rep;
   };

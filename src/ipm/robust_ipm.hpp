@@ -21,8 +21,9 @@
 // Every `resync_every` ≈ √n iterations the structures are rebuilt from the
 // exact state and one exact Newton re-centering step is taken (the paper's
 // periodic re-initialization; amortized Õ(m/√n) per iteration). Work is
-// measured by the PRAM tracker; bench_table1_mincostflow compares the
-// per-iteration work of this solver against the reference IPM.
+// measured by the PRAM tracker; the perf_trajectory row
+// paper_table1_mincostflow compares the per-iteration work of this solver
+// against the reference IPM.
 
 #include <cstdint>
 

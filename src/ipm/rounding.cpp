@@ -45,8 +45,9 @@ struct Residual {
   }
 };
 
-/// Cancel one negative cycle if present. Returns true if a cycle was found.
-bool cancel_one_negative_cycle(const Residual& r) {
+/// Find a negative residual cycle and, when `cancel` is set, push its
+/// bottleneck around it. Returns true if a cycle was found.
+bool cancel_one_negative_cycle(const Residual& r, bool cancel) {
   const auto n = static_cast<std::size_t>(r.g->num_vertices());
   const std::size_t arcs = 2 * static_cast<std::size_t>(r.g->num_arcs());
   // Bellman-Ford from a virtual source (dist 0 everywhere).
@@ -67,6 +68,7 @@ bool cancel_one_negative_cycle(const Residual& r) {
     }
     if (touched < 0) return false;
   }
+  if (!cancel) return true;
   // A relaxation in round n implies a negative cycle; walk n steps back to
   // land inside it, then trace it out.
   std::size_t v = static_cast<std::size_t>(touched);
@@ -89,7 +91,7 @@ bool cancel_one_negative_cycle(const Residual& r) {
 
 RoundRepairResult round_and_repair(core::SolverContext& ctx, const graph::Digraph& g,
                                    const std::vector<std::int64_t>& b,
-                                   const linalg::Vec& x_frac) {
+                                   const linalg::Vec& x_frac, std::int64_t max_cycle_cancels) {
   // Callers may invoke this without installing bindings (e.g. direct tests);
   // pin the charges to the supplied context either way.
   const core::ContextScope scope(ctx);
@@ -122,20 +124,29 @@ RoundRepairResult round_and_repair(core::SolverContext& ctx, const graph::Digrap
   res.imbalance_routed = total_pos;
   par::charge(m + n, par::ceil_log2(std::max<std::size_t>(m + n, 2)));
 
-  // Cancel negative cycles first: cycles do not change A^T x, and the SSP
-  // router below requires a residual graph free of negative cycles. Each
-  // cancellation is a full Bellman-Ford, so the lifecycle poll sits at
-  // per-cycle granularity (DESIGN.md §11).
-  {
-    Residual r{&g, &res.flow};
-    while (cancel_one_negative_cycle(r)) {
+  // Cancel negative residual cycles until none remain or the budget is
+  // spent (a cycle found past it is left in place). Each cancellation is a
+  // full Bellman-Ford, so the lifecycle poll sits at per-cycle granularity
+  // (DESIGN.md §11). False when the repair must stop; res.status says why.
+  const Residual r{&g, &res.flow};
+  const auto cancel_cycles = [&] {
+    while (cancel_one_negative_cycle(r, res.cycles_canceled < max_cycle_cancels)) {
+      if (res.cycles_canceled >= max_cycle_cancels) {
+        res.status = SolveStatus::kIterationLimit;
+        return false;
+      }
       ++res.cycles_canceled;
       if (const SolveStatus ls = ctx.check_lifecycle(); ls != SolveStatus::kOk) {
         res.status = ls;
-        return res;
+        return false;
       }
     }
-  }
+    return true;
+  };
+
+  // Cancel negative cycles first: cycles do not change A^T x, and the SSP
+  // router below requires a residual graph free of negative cycles.
+  if (!cancel_cycles()) return res;
 
   if (total_pos > 0) {
     // Build the residual as a digraph and route δ with SSP: a path from a
@@ -158,7 +169,6 @@ RoundRepairResult round_and_repair(core::SolverContext& ctx, const graph::Digrap
     for (std::size_t v = 0; v < n; ++v) route_b[v] = -delta[v];  // supply at δ<0
     const auto routed = baselines::ssp_min_cost_b_flow(residual, route_b);
     res.feasible = (routed.flow == total_pos);
-    Residual r{&g, &res.flow};
     for (std::size_t a = 0; a < routed.arc_flow.size(); ++a)
       if (routed.arc_flow[a] > 0) r.push(res_to_half[a], routed.arc_flow[a]);
   } else {
@@ -166,14 +176,7 @@ RoundRepairResult round_and_repair(core::SolverContext& ctx, const graph::Digrap
   }
 
   // Optimality: cancel negative residual cycles until none remain.
-  Residual r{&g, &res.flow};
-  while (cancel_one_negative_cycle(r)) {
-    ++res.cycles_canceled;
-    if (const SolveStatus ls = ctx.check_lifecycle(); ls != SolveStatus::kOk) {
-      res.status = ls;
-      return res;
-    }
-  }
+  if (!cancel_cycles()) return res;
 
   for (std::size_t k = 0; k < m; ++k)
     res.cost += res.flow[k] * g.arc(static_cast<graph::EdgeId>(k)).cost;

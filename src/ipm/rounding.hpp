@@ -7,9 +7,10 @@
 // paths, then cancel any remaining negative residual cycles. The result is
 // an exactly optimal integral b-flow regardless of how crude the fractional
 // input was — the input quality only controls how much repair work is done
-// (reported, and benchmarked in bench_table1_mincostflow).
+// (reported, and measured by the perf_trajectory row paper_table1_mincostflow).
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/solve_status.hpp"
@@ -26,17 +27,26 @@ struct RoundRepairResult {
   std::int64_t cycles_canceled = 0;    ///< negative-cycle repairs
   bool feasible = false;
   /// kOk when the repaired flow satisfies A^T x = b; kInfeasible when the
-  /// imbalance could not be routed (no feasible b-flow exists). Non-finite
-  /// fractional entries are sanitized to 0 before rounding, so a NaN-ridden
-  /// IPM iterate still yields a correct (if slow) repair, never UB.
+  /// imbalance could not be routed (no feasible b-flow exists);
+  /// kIterationLimit when a further negative cycle remained after
+  /// `max_cycle_cancels` cancellations (the flow is then not optimal). Non-
+  /// finite fractional entries are sanitized to 0 before rounding, so a
+  /// NaN-ridden IPM iterate still yields a correct (if slow) repair, never UB.
   SolveStatus status = SolveStatus::kOk;
 };
 
+/// No cap on negative-cycle cancellations (every IPM-output repair).
+inline constexpr std::int64_t kUnboundedCycleCancels = std::numeric_limits<std::int64_t>::max();
+
 /// Round `x_frac` to the exact optimal integral solution of
 /// min c^T x, A^T x = b, 0 <= x <= u (data taken from g; b over all rows).
-/// PRAM work/depth for the repair is charged against `ctx`'s tracker.
+/// At most `max_cycle_cancels` negative cycles are canceled; each one is an
+/// O(nm) Bellman-Ford and cycle canceling is only pseudo-polynomial, so a
+/// caller that has a cheaper alternative caps it (kIterationLimit past the
+/// cap). PRAM work/depth for the repair is charged against `ctx`'s tracker.
 RoundRepairResult round_and_repair(core::SolverContext& ctx, const graph::Digraph& g,
                                    const std::vector<std::int64_t>& b,
-                                   const linalg::Vec& x_frac);
+                                   const linalg::Vec& x_frac,
+                                   std::int64_t max_cycle_cancels = kUnboundedCycleCancels);
 
 }  // namespace pmcf::ipm

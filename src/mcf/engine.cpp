@@ -511,14 +511,15 @@ EngineSolveResult Engine::solve_with_salt(const Instance& inst, const mcf::Solve
   const mcf::SolveOptions* eff = &opts;
   mcf::SolveOptions patched;
   const bool patch_preset = !config_.preset.empty() && opts.preset.empty();
-  const bool patch_warm =
-      warm != nullptr && (warm->hint != nullptr || warm->capture != nullptr);
+  const bool patch_warm = warm != nullptr && (warm->hint != nullptr || warm->capture != nullptr ||
+                                               warm->flow != nullptr);
   if (patch_preset || patch_warm) {
     patched = opts;
     if (patch_preset) patched.preset = config_.preset;
     if (patch_warm) {
       patched.warm = warm->hint;
       patched.warm_out = warm->capture;
+      patched.warm_flow = warm->flow;
     }
     eff = &patched;
   }
@@ -868,11 +869,14 @@ EngineSolveResult Engine::resolve(InstanceHandle handle, const InstanceDelta& de
   eff.certify = true;
 
   // Next solve's artifact slot: the retained AccelCache rides along (and is
-  // harvested back into it), the warm hint is consumed from the old slot.
+  // harvested back into it), the previous optimum (compact ids, same epoch)
+  // and the warm hint are consumed from the old slot.
   auto fresh = std::make_unique<InstanceRecord::Artifacts>();
+  std::vector<std::int64_t> prev_flow;
   mcf::WarmStart hint;
   if (warm_hit) {
     fresh->accel = std::move(arts->accel);
+    prev_flow = std::move(arts->result.arc_flow);
     hint = std::move(arts->warm);
     hint.mu_boost = config_.warm_mu_boost;
     arts.reset();
@@ -881,6 +885,9 @@ EngineSolveResult Engine::resolve(InstanceHandle handle, const InstanceDelta& de
   WarmPlumbing plumbing;
   plumbing.accel_slot = &fresh->accel;
   plumbing.cache_key = accel_cache_key(handle, rec->structure_hash, rec->epoch);
+  // Only an IPM tier repairs; a combinatorial request has nothing to skip.
+  const bool repairable = eff.method != mcf::Method::kCombinatorial && !prev_flow.empty();
+  plumbing.flow = repairable ? &prev_flow : nullptr;
   plumbing.hint = warm_hit && !hint.empty() ? &hint : nullptr;
   plumbing.capture = &captured;
 
@@ -891,6 +898,12 @@ EngineSolveResult Engine::resolve(InstanceHandle handle, const InstanceDelta& de
   EngineSolveResult out =
       admit_and_solve(view, eff, control, salt, engine_token.get(), AdmitMode::kAcquire,
                       InnerPool::kEngine, &plumbing);
+  // Served by the repair: no IPM ran and nothing was captured, so the
+  // retained central-path point stays the freshest one there is.
+  const bool repaired = out.result.stats.warm_source == "optimum-repair";
+  if (plumbing.flow != nullptr)
+    metrics_.count(repaired ? EngineCounter::kResolveRepaired
+                            : EngineCounter::kResolveRepairFallback);
 
   if (out.result.status != SolveStatus::kOk && !is_instance_error(out.result.status) &&
       !is_lifecycle_error(out.result.status) && warm_hit) {
@@ -900,6 +913,7 @@ EngineSolveResult Engine::resolve(InstanceHandle handle, const InstanceDelta& de
     // turn a solvable instance into a failure. Counted as a warm *fallback*,
     // not a planned cold solve, so warm failure rates stay observable.
     fresh->accel.reset();
+    plumbing.flow = nullptr;
     plumbing.hint = nullptr;
     captured = mcf::WarmStart{};
     metrics_.on_submitted(priority);
@@ -920,7 +934,7 @@ EngineSolveResult Engine::resolve(InstanceHandle handle, const InstanceDelta& de
     }
     if (out.result.stats.certified && config_.instance_cache_capacity > 0) {
       fresh->result = out.result;  // compact-id copy, pre-mapping
-      fresh->warm = std::move(captured);
+      fresh->warm = repaired ? std::move(hint) : std::move(captured);
       fresh->value_hash = rec->value_hash;
       fresh->epoch = rec->epoch;
       const std::size_t evicted = store_->store_artifacts(*rec, std::move(fresh));

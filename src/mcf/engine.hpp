@@ -287,10 +287,13 @@ class Engine {
   /// everything the previous solve left behind that is still valid:
   ///   - empty/no-op delta → the retained certified optimum is re-certified
   ///     (exact __int128 arithmetic, zero trust in the cache) and replayed;
-  ///   - values-only delta → warm re-solve: the retained AccelCache rides in
-  ///     (Laplacian value-refresh + drift-gated preconditioner reuse) and
-  ///     the IPM restarts from the previous central-path point at a boosted
-  ///     mu instead of the cold mu0;
+  ///   - values-only delta → warm re-solve: the retained certified optimum
+  ///     is clamped into the new capacities and repaired by a budgeted
+  ///     cycle-canceling pass, with no IPM run ("optimum-repair"); a repair
+  ///     over budget (or one the new capacities make infeasible) falls back
+  ///     to the IPM, which adopts the retained AccelCache (Laplacian
+  ///     value-refresh + drift-gated preconditioner reuse) and restarts from
+  ///     the previous central-path point at a boosted mu;
   ///   - structural delta (arc add/remove) → epoch bump, artifacts
   ///     invalidated, cold re-solve.
   /// Every result is independently certified (SolveOptions::certify is
@@ -335,11 +338,12 @@ class Engine {
 
   /// Cross-solve plumbing a resolve threads through admit_and_solve into
   /// solve_with_salt: the retained AccelCache to adopt/harvest, the
-  /// fingerprint it is keyed by, the warm-start hint, and the capture slot
-  /// for the new central-path point.
+  /// fingerprint it is keyed by, the previous optimum to repair, the
+  /// warm-start hint, and the capture slot for the new central-path point.
   struct WarmPlumbing {
     std::unique_ptr<linalg::AccelCache>* accel_slot = nullptr;
     std::uint64_t cache_key = 0;
+    const std::vector<std::int64_t>* flow = nullptr;
     const mcf::WarmStart* hint = nullptr;
     mcf::WarmStart* capture = nullptr;
   };

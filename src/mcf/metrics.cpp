@@ -32,6 +32,8 @@ const char* to_string(EngineCounter c) {
     case EngineCounter::kResolveWarm: return "ResolveWarm";
     case EngineCounter::kResolveCold: return "ResolveCold";
     case EngineCounter::kResolveWarmFallback: return "ResolveWarmFallback";
+    case EngineCounter::kResolveRepaired: return "ResolveRepaired";
+    case EngineCounter::kResolveRepairFallback: return "ResolveRepairFallback";
     case EngineCounter::kPersistJournalAppends: return "PersistJournalAppends";
     case EngineCounter::kPersistWriteFailures: return "PersistWriteFailures";
     case EngineCounter::kPersistSnapshots: return "PersistSnapshots";

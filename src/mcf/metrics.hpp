@@ -75,6 +75,11 @@ enum class EngineCounter : std::uint8_t {
   kResolveWarmFallback,         ///< warm attempts that failed and were retried cold —
                                 ///< warm failure rate is kResolveWarmFallback /
                                 ///< kResolveWarm, not folded into kResolveCold
+  kResolveRepaired,             ///< warm resolves served by repairing the retained
+                                ///< optimum (no IPM run)
+  kResolveRepairFallback,       ///< warm resolves that offered the retained optimum
+                                ///< for repair but were not served by it (repair
+                                ///< over budget or infeasible: the IPM ran)
   // --- instance-store durability (DESIGN.md §16) --------------------------
   kPersistJournalAppends,       ///< delta/register/deregister frames made durable
   kPersistWriteFailures,        ///< frames or snapshots that failed durability

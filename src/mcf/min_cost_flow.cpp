@@ -306,17 +306,57 @@ bool accept_warm_start(const AugmentedLp& aug, const WarmStart& warm, double mu_
   return true;
 }
 
-/// Run one IPM tier on the augmented LP and round. Returns kOk with an
+/// Move a repair's flow, cost, status and work counters into `res`.
+void take_repair(MinCostFlowResult& res, ipm::RoundRepairResult&& repaired) {
+  res.stats.imbalance_routed = repaired.imbalance_routed;
+  res.stats.cycles_canceled = repaired.cycles_canceled;
+  res.arc_flow = std::move(repaired.flow);
+  res.cost = repaired.cost;
+  res.status = repaired.status;
+  if (res.status == SolveStatus::kOk) {
+    res.failure_component.clear();
+    res.failure_detail.clear();
+  } else {
+    res.failure_component = "ipm::round_and_repair";
+    res.failure_detail = res.status == SolveStatus::kInfeasible
+                             ? "no feasible routing of the rounding imbalance"
+                             : "repair stopped before optimality";
+  }
+}
+
+/// Run one IPM tier on the augmented LP of `core`, whose capacities are all
+/// positive, and round. Returns kOk with an
 /// exactly optimal integral flow, kInfeasible when the rounding imbalance is
 /// unroutable, or a solver-failure status for the cascade to act on.
 /// kIterationLimit is soft: round_and_repair produces the exact optimum from
 /// any finite fractional iterate, so a truncated path-following run still
-/// yields a correct answer. Nothing escapes as an exception.
-MinCostFlowResult solve_core(core::SolverContext& ctx, const Digraph& core,
-                             const std::vector<std::int64_t>& b, Method tier,
-                             const SolveOptions& opts) {
+/// yields a correct answer. `warm_flow` (per core arc, or nullptr) is a
+/// previous optimum to repair before any IPM work (DESIGN.md §15). Nothing
+/// escapes as an exception.
+MinCostFlowResult solve_positive_core(core::SolverContext& ctx, const Digraph& core,
+                                      const std::vector<std::int64_t>& b, Method tier,
+                                      const SolveOptions& opts,
+                                      const std::vector<std::int64_t>* warm_flow) {
   MinCostFlowResult res;
   try {
+    // Optimum repair: round_and_repair turns any point into the exact
+    // optimum (it clamps into [0, u] itself), and a previous optimum is only
+    // a few cycle cancellations away from the new one after a small value
+    // delta. The budget of one cancellation per core arc bounds the
+    // pseudo-polynomial worst case; past it (or when the old flow cannot be
+    // rerouted into the new capacities) the IPM below runs as if no flow
+    // had been offered.
+    if (warm_flow != nullptr && warm_flow->size() == static_cast<std::size_t>(core.num_arcs())) {
+      auto repaired = ipm::round_and_repair(ctx, core, b, Vec(warm_flow->begin(), warm_flow->end()),
+                                            core.num_arcs());
+      if (repaired.status == SolveStatus::kOk || is_lifecycle_error(repaired.status)) {
+        take_repair(res, std::move(repaired));
+        res.stats.warm_started = true;
+        res.stats.warm_source = "optimum-repair";
+        return res;
+      }
+    }
+
     AugmentedLp aug = augment(core, b);
     double mu0 = ipm::initial_mu(aug.lp);
     Vec x0 = std::move(aug.x0);
@@ -390,19 +430,7 @@ MinCostFlowResult solve_core(core::SolverContext& ctx, const Digraph& core,
 
     // Drop auxiliary arcs and round on the core problem.
     Vec x_core(x_final.begin(), x_final.begin() + static_cast<std::ptrdiff_t>(aug.num_core));
-    const auto repaired = ipm::round_and_repair(ctx, core, b, x_core);
-    res.stats.imbalance_routed = repaired.imbalance_routed;
-    res.stats.cycles_canceled = repaired.cycles_canceled;
-    res.arc_flow = repaired.flow;
-    res.cost = repaired.cost;
-    res.status = repaired.status;
-    if (res.status == SolveStatus::kOk) {
-      res.failure_component.clear();
-      res.failure_detail.clear();
-    } else {
-      res.failure_component = "ipm::round_and_repair";
-      res.failure_detail = "no feasible routing of the rounding imbalance";
-    }
+    take_repair(res, ipm::round_and_repair(ctx, core, b, x_core));
     return res;
   } catch (const ComponentError& err) {
     res.status = err.status();
@@ -415,6 +443,64 @@ MinCostFlowResult solve_core(core::SolverContext& ctx, const Digraph& core,
     res.failure_detail = ex.what();
     return res;
   }
+}
+
+/// solve_positive_core on the arcs with positive capacity. A zero-capacity
+/// arc can only carry 0, and the barrier needs 0 < x < u, so such arcs stay
+/// out of the LP; the returned arc_flow reports 0 on them.
+MinCostFlowResult solve_core(core::SolverContext& ctx, const Digraph& core,
+                             const std::vector<std::int64_t>& b, Method tier,
+                             const SolveOptions& opts,
+                             const std::vector<std::int64_t>* warm_flow) {
+  const auto& arcs = core.arcs();
+  if (std::none_of(arcs.begin(), arcs.end(), [](const graph::Arc& a) { return a.cap == 0; }))
+    return solve_positive_core(ctx, core, b, tier, opts, warm_flow);
+  Digraph live(core.num_vertices());
+  std::vector<std::size_t> live_of;
+  std::vector<std::int64_t> live_warm;
+  for (std::size_t k = 0; k < arcs.size(); ++k) {
+    if (arcs[k].cap == 0) continue;
+    live.add_arc(arcs[k].from, arcs[k].to, arcs[k].cap, arcs[k].cost);
+    live_of.push_back(k);
+    if (warm_flow != nullptr && warm_flow->size() == arcs.size())
+      live_warm.push_back((*warm_flow)[k]);
+  }
+  MinCostFlowResult res =
+      solve_positive_core(ctx, live, b, tier, opts, live_warm.empty() ? nullptr : &live_warm);
+  if (!res.arc_flow.empty()) {
+    std::vector<std::int64_t> flow(arcs.size(), 0);
+    for (std::size_t i = 0; i < live_of.size(); ++i) flow[live_of[i]] = res.arc_flow[i];
+    res.arc_flow = std::move(flow);
+  }
+  return res;
+}
+
+/// Exact min-cost b-flow by successive shortest paths (`supply` is
+/// supply-positive). SSP needs a residual graph free of negative cycles, so
+/// every negative-cost arc is saturated up front and offered back reversed
+/// at cost -c, where flow undoes the saturation; the supplies absorb the
+/// saturated flow. Without negative costs this is ssp_min_cost_b_flow as is.
+baselines::McmfResult ssp_b_flow_any_costs(const Digraph& g, std::vector<std::int64_t> supply) {
+  const auto& arcs = g.arcs();
+  if (std::none_of(arcs.begin(), arcs.end(), [](const graph::Arc& a) { return a.cost < 0; }))
+    return baselines::ssp_min_cost_b_flow(g, supply);
+  Digraph pos(g.num_vertices());
+  for (const auto& a : arcs) {
+    if (a.cost < 0) {
+      pos.add_arc(a.to, a.from, a.cap, -a.cost);
+      supply[static_cast<std::size_t>(a.from)] -= a.cap;
+      supply[static_cast<std::size_t>(a.to)] += a.cap;
+    } else {
+      pos.add_arc(a.from, a.to, a.cap, a.cost);
+    }
+  }
+  baselines::McmfResult r = baselines::ssp_min_cost_b_flow(pos, supply);
+  r.cost = 0;
+  for (std::size_t k = 0; k < arcs.size(); ++k) {
+    if (arcs[k].cost < 0) r.arc_flow[k] = arcs[k].cap - r.arc_flow[k];
+    r.cost += r.arc_flow[k] * arcs[k].cost;
+  }
+  return r;
 }
 
 }  // namespace
@@ -462,6 +548,7 @@ MinCostFlowResult min_cost_max_flow(core::SolverContext& ctx, const Digraph& g, 
   // Circulation formulation: t -> s with reward -K dominating all costs.
   Digraph core(nv);
   graph::EdgeId ts = 0;
+  std::vector<std::int64_t> warm_core;
   if (uses_ipm) {
     std::int64_t out_cap = 0;
     for (const auto& a : g.arcs())
@@ -472,6 +559,21 @@ MinCostFlowResult min_cost_max_flow(core::SolverContext& ctx, const Digraph& g, 
                            "-K circulation arc overflows the safe integer range");
     for (const auto& a : g.arcs()) core.add_arc(a.from, a.to, a.cap, a.cost);
     ts = core.add_arc(t, s, ts_cap, -*cost_mass);
+    // A warm flow extends to the circulation: clamped into the current
+    // capacities, with the t->s arc carrying the net outflow of s.
+    if (opts.warm_flow != nullptr &&
+        opts.warm_flow->size() == static_cast<std::size_t>(g.num_arcs())) {
+      warm_core.reserve(opts.warm_flow->size() + 1);
+      std::int64_t s_out = 0;
+      for (std::size_t k = 0; k < opts.warm_flow->size(); ++k) {
+        const auto& a = g.arc(static_cast<graph::EdgeId>(k));
+        const std::int64_t f = std::clamp<std::int64_t>((*opts.warm_flow)[k], 0, a.cap);
+        if (a.from == s) s_out += f;
+        if (a.to == s) s_out -= f;
+        warm_core.push_back(f);
+      }
+      warm_core.push_back(std::clamp<std::int64_t>(s_out, 0, ts_cap));
+    }
   }
 
   const TelemetryScope scope(ctx);
@@ -500,7 +602,8 @@ MinCostFlowResult min_cost_max_flow(core::SolverContext& ctx, const Digraph& g, 
       }
     } else {
       const std::vector<std::int64_t> b(static_cast<std::size_t>(nv), 0);
-      res = solve_core(ctx, core, b, tier, opts);
+      res = solve_core(ctx, core, b, tier, opts,
+                       attempt == 0 && !warm_core.empty() ? &warm_core : nullptr);
       if (res.status == SolveStatus::kOk) {
         res.flow_value = res.arc_flow[static_cast<std::size_t>(ts)];
         res.arc_flow.resize(static_cast<std::size_t>(g.num_arcs()));
@@ -568,7 +671,7 @@ MinCostFlowResult min_cost_b_flow(core::SolverContext& ctx, const Digraph& g,
         // ssp's convention is supply-positive; ours is net-inflow-positive.
         std::vector<std::int64_t> supply(b.size());
         for (std::size_t v = 0; v < b.size(); ++v) supply[v] = -b[v];
-        auto r = baselines::ssp_min_cost_b_flow(g, supply);
+        auto r = ssp_b_flow_any_costs(g, std::move(supply));
         res = MinCostFlowResult{};
         res.cost = r.cost;
         res.arc_flow = std::move(r.arc_flow);
@@ -584,7 +687,7 @@ MinCostFlowResult min_cost_b_flow(core::SolverContext& ctx, const Digraph& g,
         res.failure_detail = ex.what();
       }
     } else {
-      res = solve_core(ctx, g, b, tier, opts);
+      res = solve_core(ctx, g, b, tier, opts, attempt == 0 ? opts.warm_flow : nullptr);
     }
     if (res.status == SolveStatus::kOk) {
       // Feasibility check: A^T x must equal b exactly.

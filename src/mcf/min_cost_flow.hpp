@@ -90,6 +90,15 @@ struct SolveOptions {
   /// caller to retain across solves. Left untouched by the combinatorial
   /// tier and on failure.
   WarmStart* warm_out = nullptr;
+  /// Cross-solve optimum repair (borrowed; must outlive the call): a
+  /// previous optimal integral flow, per arc of the input graph, for a
+  /// same-structure instance whose values may have changed since. The first
+  /// IPM tier clamps it into the current capacities and repairs it with a
+  /// budgeted round_and_repair instead of running the IPM; an over-budget or
+  /// infeasible repair continues into the IPM unchanged. A wrong-sized
+  /// vector is ignored. nullptr — the default everywhere outside
+  /// Engine::resolve — keeps every existing call path bit-identical.
+  const std::vector<std::int64_t>* warm_flow = nullptr;
 };
 
 struct SolveStats {
@@ -141,10 +150,12 @@ struct SolveStats {
   /// accepted central-path restart, an adopted acceleration cache, or a
   /// cached-result replay). Always false on a plain cold solve.
   bool warm_started = false;
-  /// Where the warm state came from: "central-path" (IPM restarted from the
-  /// previous solve's final iterate), "accel-cache" (only the retained
-  /// preconditioner/Laplacian state was reused), "cached-result" (the
-  /// engine replayed and re-certified a stored optimum), "" when cold.
+  /// Where the warm state came from: "optimum-repair" (the previous optimum
+  /// was repaired for the new values; no IPM ran), "central-path" (IPM
+  /// restarted from the previous solve's final iterate), "accel-cache" (only
+  /// the retained preconditioner/Laplacian state was reused),
+  /// "cached-result" (the engine replayed and re-certified a stored
+  /// optimum), "" when cold.
   std::string warm_source;
   /// The mu the IPM actually (re)started from; 0 when no IPM tier ran warm.
   double warm_mu0 = 0.0;

@@ -9,7 +9,11 @@
 //     re-certifying it in exact arithmetic ("cached-result" provenance);
 //   - every delta path (cost / capacity / add / remove / mixed) produces a
 //     certified optimum whose cost and flow value match an independent cold
-//     solve of the post-delta instance;
+//     solve of the post-delta instance, also over seeded random delta
+//     sequences;
+//   - a values-only delta is served by repairing the retained optimum
+//     ("optimum-repair", no IPM run); a repair over budget falls back to the
+//     central-path restart;
 //   - cache observability counters (hits / misses / invalidations /
 //     evictions, warm vs cold) tell the truth;
 //   - malformed deltas and unknown handles are typed kInvalidInput and leave
@@ -33,6 +37,7 @@
 #include "mcf/min_cost_flow.hpp"
 #include "parallel/rng.hpp"
 #include "parallel/thread_pool.hpp"
+#include "repair_gadget.hpp"
 
 namespace pmcf {
 namespace {
@@ -261,7 +266,7 @@ TEST_F(EngineResolveTest, BFlowResolveMatchesColdSolve) {
 
 // --- warm provenance --------------------------------------------------------
 
-TEST_F(EngineResolveTest, CostOnlyDeltaRestartsFromCentralPath) {
+TEST_F(EngineResolveTest, CostOnlyDeltaIsServedByOptimumRepair) {
   const Digraph g = make_graph(913);
   const Engine engine;
   const auto opts = fast_opts();
@@ -271,16 +276,75 @@ TEST_F(EngineResolveTest, CostOnlyDeltaRestartsFromCentralPath) {
   EXPECT_FALSE(cold.result.stats.warm_started);
   EXPECT_EQ(cold.result.stats.warm_source, "");
   EXPECT_EQ(cold.result.stats.warm_mu0, 0.0);
+  EXPECT_GT(cold.result.stats.ipm_iterations, 0);
 
   InstanceDelta d;
-  d.cost_changes = {{0, 2}};  // ±1-scale perturbation keeps the path nearby
+  d.cost_changes = {{0, 2}};
   const EngineSolveResult warm = engine.resolve(h, d, opts);
   ASSERT_EQ(warm.result.status, SolveStatus::kOk);
+  EXPECT_TRUE(warm.result.stats.certified);
   EXPECT_TRUE(warm.result.stats.warm_started);
-  // A cost-only delta keeps the augmented LP's feasibility structure, so the
-  // previous central-path point must validate and be accepted.
+  // The retained optimum is a few cycle cancellations from the new one:
+  // the repair serves the request and the IPM never runs.
+  EXPECT_EQ(warm.result.stats.warm_source, "optimum-repair");
+  EXPECT_EQ(warm.result.stats.ipm_iterations, 0);
+  EXPECT_EQ(warm.result.stats.warm_mu0, 0.0);
+
+  Mirror mirror(g);
+  mirror.apply(d);
+  const Digraph cold_g = mirror.live_graph();
+  const EngineSolveResult ref =
+      Engine().solve(Instance::max_flow(cold_g, 0, cold_g.num_vertices() - 1), opts);
+  ASSERT_EQ(ref.result.status, SolveStatus::kOk);
+  EXPECT_EQ(warm.result.cost, ref.result.cost);
+  EXPECT_EQ(warm.result.flow_value, ref.result.flow_value);
+}
+
+/// Cost delta that turns the repair gadget from its absolute-value costs
+/// (zero flow optimal) into its signed costs (kRepairGadgetCancels
+/// cancellations from the zero flow, past the budget of one per arc).
+InstanceDelta gadget_flip_delta() {
+  const Digraph signed_g = testing_gadget::repair_gadget(/*abs_costs=*/false);
+  InstanceDelta d;
+  for (EdgeId e = 0; e < signed_g.num_arcs(); ++e)
+    d.cost_changes.push_back({e, signed_g.arc(e).cost});
+  return d;
+}
+
+TEST_F(EngineResolveTest, OverBudgetRepairFallsBackToCentralPath) {
+  const Digraph g = testing_gadget::repair_gadget(/*abs_costs=*/true);
+  const std::vector<std::int64_t> b(static_cast<std::size_t>(g.num_vertices()), 0);
+  const Engine engine;
+  const auto opts = fast_opts();
+  const InstanceHandle h = engine.register_instance(Instance::b_flow(g, b));
+  ASSERT_EQ(engine.resolve(h, {}, opts).result.status, SolveStatus::kOk);
+
+  // A small cost change keeps the zero flow optimal: repaired, no IPM run,
+  // and the central-path point of the priming solve must survive it.
+  InstanceDelta nudge;
+  nudge.cost_changes = {{0, 17}};
+  const EngineSolveResult repaired = engine.resolve(h, nudge, opts);
+  ASSERT_EQ(repaired.result.status, SolveStatus::kOk);
+  EXPECT_EQ(repaired.result.stats.warm_source, "optimum-repair");
+  EXPECT_EQ(repaired.result.stats.cycles_canceled, 0);
+
+  // The flip needs more cancellations than the budget allows: the IPM
+  // serves it from the central-path point carried across the repair.
+  const InstanceDelta flip = gadget_flip_delta();
+  const EngineSolveResult warm = engine.resolve(h, flip, opts);
+  ASSERT_EQ(warm.result.status, SolveStatus::kOk) << warm.result.failure_detail;
+  EXPECT_TRUE(warm.result.stats.certified);
   EXPECT_EQ(warm.result.stats.warm_source, "central-path");
+  EXPECT_GT(warm.result.stats.ipm_iterations, 0);
   EXPECT_GT(warm.result.stats.warm_mu0, 0.0);
+
+  Mirror mirror(g);
+  mirror.apply(nudge);
+  mirror.apply(flip);
+  const EngineSolveResult ref = Engine().solve(Instance::b_flow(mirror.live_graph(), b), opts);
+  ASSERT_EQ(ref.result.status, SolveStatus::kOk);
+  EXPECT_EQ(warm.result.cost, ref.result.cost);
+  EXPECT_LT(warm.result.cost, 0);  // the signed costs make circulating pay
 }
 
 // --- observability counters -------------------------------------------------
@@ -312,6 +376,36 @@ TEST_F(EngineResolveTest, CacheCountersTellTheTruth) {
   EXPECT_EQ(snap.of(EngineCounter::kResolveCold), 3u);
   EXPECT_EQ(snap.of(EngineCounter::kSolvedOk), 4u);
   EXPECT_EQ(snap.of(EngineCounter::kCertified), 4u);
+  // A replay is not a repair: no optimum was offered to the solver.
+  EXPECT_EQ(snap.of(EngineCounter::kResolveRepaired), 0u);
+  EXPECT_EQ(snap.of(EngineCounter::kResolveRepairFallback), 0u);
+}
+
+TEST_F(EngineResolveTest, RepairCountersTellTheTruth) {
+  const Digraph g = testing_gadget::repair_gadget(/*abs_costs=*/true);
+  const std::vector<std::int64_t> b(static_cast<std::size_t>(g.num_vertices()), 0);
+  const Engine engine;
+  const auto opts = fast_opts();
+  const InstanceHandle h = engine.register_instance(Instance::b_flow(g, b));
+
+  InstanceDelta nudge;
+  nudge.cost_changes = {{0, 17}};
+  InstanceDelta add;
+  add.add_arcs = {{2, 3, 4, 1}};
+  ASSERT_EQ(engine.resolve(h, {}, opts).result.status, SolveStatus::kOk);     // cold
+  ASSERT_EQ(engine.resolve(h, nudge, opts).result.status, SolveStatus::kOk);  // repaired
+  ASSERT_EQ(engine.resolve(h, {}, opts).result.status, SolveStatus::kOk);     // replay
+  ASSERT_EQ(engine.resolve(h, gadget_flip_delta(), opts).result.status,
+            SolveStatus::kOk);                                                 // fallback
+  ASSERT_EQ(engine.resolve(h, add, opts).result.status, SolveStatus::kOk);    // structural
+
+  const MetricsSnapshot snap = engine.metrics_snapshot();
+  EXPECT_EQ(snap.of(EngineCounter::kResolveRepaired), 1u);
+  EXPECT_EQ(snap.of(EngineCounter::kResolveRepairFallback), 1u);
+  EXPECT_EQ(snap.of(EngineCounter::kResolveWarm), 3u);
+  EXPECT_EQ(snap.of(EngineCounter::kResolveCold), 2u);
+  EXPECT_EQ(snap.of(EngineCounter::kResolveWarmFallback), 0u);
+  EXPECT_EQ(snap.of(EngineCounter::kCertified), 5u);
 }
 
 TEST_F(EngineResolveTest, StructuralDeltaInvalidatesArtifacts) {
@@ -570,6 +664,175 @@ TEST_F(EngineResolveTest, EvictionRacingCheckedOutArtifactsStaysCertified) {
     EXPECT_EQ(replay.result.cost, cold.result.cost);
     EXPECT_EQ(replay.result.flow_value, cold.result.flow_value);
   }
+}
+
+// --- differential delta sequences -----------------------------------------
+
+/// Seeded random InstanceDelta sequences through Engine::resolve, each step
+/// checked against a cold solve of the mirrored instance on a fresh engine.
+/// Status, cost and flow value must agree and every kOk must be certified.
+/// The tallies prove the run reached the repair path, the over-budget
+/// fallback to the IPM, and b-flow capacity cuts that leave no feasible flow.
+struct DiffTally {
+  int steps = 0;
+  int repaired = 0;
+  int over_budget = 0;      ///< values-only warm resolve answered by the IPM
+  int infeasible_cuts = 0;  ///< warm capacity cut that left no feasible b-flow
+};
+
+/// One registered instance under test and the client's view of it.
+struct DiffStream {
+  Mirror mirror;
+  Instance shape;  ///< kind, terminals and demands (the graph comes from the mirror)
+  InstanceHandle handle = 0;
+  std::vector<std::int64_t> last_flow;  ///< last kOk answer, original ids
+  std::vector<EdgeId> cut;              ///< arcs whose capacity was cut
+  bool last_ok = false;                 ///< last answer was kOk (optimum retained)
+};
+
+EdgeId live_arc(const Mirror& m, par::Rng& rng) {
+  for (;;) {
+    const auto e = static_cast<EdgeId>(rng.next_below(m.arcs.size()));
+    if (m.arcs[static_cast<std::size_t>(e)].alive) return e;
+  }
+}
+
+/// One of: cost change, capacity up (half the time it restores a cut arc),
+/// capacity cut (halves an arc the last answer used, so cuts hit the flow),
+/// no-op rewrite, arc add, arc remove.
+InstanceDelta random_delta(DiffStream& st, par::Rng& rng) {
+  const Mirror& m = st.mirror;
+  InstanceDelta d;
+  switch (rng.next_below(6)) {
+    case 0:  // cost
+      for (std::uint64_t k = 1 + rng.next_below(3); k > 0; --k)
+        d.cost_changes.push_back(
+            {live_arc(m, rng), static_cast<std::int64_t>(rng.next_below(12)) - 3});
+      break;
+    case 1: {  // capacity up
+      EdgeId e = live_arc(m, rng);
+      if (!st.cut.empty() && rng.next_below(2) == 0) {
+        if (m.arcs[static_cast<std::size_t>(st.cut.back())].alive) e = st.cut.back();
+        st.cut.pop_back();
+      }
+      d.cap_changes.push_back({e, m.arcs[static_cast<std::size_t>(e)].cap + 1 +
+                                      static_cast<std::int64_t>(rng.next_below(4))});
+      break;
+    }
+    case 2: {  // capacity cut
+      std::vector<EdgeId> used;
+      for (std::size_t k = 0; k < st.last_flow.size(); ++k)
+        if (st.last_flow[k] > 0 && m.arcs[k].alive) used.push_back(static_cast<EdgeId>(k));
+      const EdgeId e = used.empty() ? live_arc(m, rng) : used[rng.next_below(used.size())];
+      d.cap_changes.push_back({e, m.arcs[static_cast<std::size_t>(e)].cap / 2});
+      st.cut.push_back(e);
+      break;
+    }
+    case 3: {  // no-op
+      const EdgeId e = live_arc(m, rng);
+      d.cost_changes.push_back({e, m.arcs[static_cast<std::size_t>(e)].cost});
+      break;
+    }
+    case 4: {  // add
+      const auto u = static_cast<Vertex>(rng.next_below(static_cast<std::uint64_t>(m.n)));
+      auto v = static_cast<Vertex>(rng.next_below(static_cast<std::uint64_t>(m.n - 1)));
+      if (v >= u) ++v;
+      d.add_arcs.push_back({u, v, 1 + static_cast<std::int64_t>(rng.next_below(6)),
+                            static_cast<std::int64_t>(rng.next_below(8))});
+      break;
+    }
+    default:  // remove
+      d.remove_arcs.push_back(live_arc(m, rng));
+      break;
+  }
+  return d;
+}
+
+/// One resolve + cold reference for `delta`; tallies what served it. A
+/// values-only delta after a kOk answer offers the retained optimum for
+/// repair, so it is served by the repair or counts as a repair fallback.
+void diff_step(const Engine& engine, DiffStream& st, const InstanceDelta& delta,
+               DiffTally& tally) {
+  const auto opts = fast_opts();
+  const EngineSolveResult warm = engine.resolve(st.handle, delta, opts);
+  st.mirror.apply(delta);
+  const Digraph cold_g = st.mirror.live_graph();
+  const Instance cold_inst = st.shape.kind == Instance::Kind::kMaxFlow
+                                 ? Instance::max_flow(cold_g, st.shape.source, st.shape.sink)
+                                 : Instance::b_flow(cold_g, st.shape.demands);
+  const EngineSolveResult cold = Engine().solve(cold_inst, opts);
+  const std::string where = "step " + std::to_string(tally.steps++);
+  ASSERT_EQ(warm.result.status, cold.result.status) << where << ": " << warm.result.failure_detail;
+  const bool offered = st.last_ok && !delta.structural();
+  st.last_ok = warm.result.status == SolveStatus::kOk;
+  if (warm.result.status == SolveStatus::kInfeasible) {
+    if (offered) ++tally.infeasible_cuts;
+    return;
+  }
+  ASSERT_EQ(warm.result.status, SolveStatus::kOk) << where;
+  EXPECT_TRUE(warm.result.stats.certified) << where;
+  EXPECT_EQ(warm.result.cost, cold.result.cost) << where;
+  EXPECT_EQ(warm.result.flow_value, cold.result.flow_value) << where;
+  st.last_flow = warm.result.arc_flow;
+  const std::string& source = warm.result.stats.warm_source;
+  if (source == "optimum-repair") {
+    ++tally.repaired;
+  } else if (offered && source != "cached-result") {
+    ++tally.over_budget;
+  }
+}
+
+TEST_F(EngineResolveTest, RandomDeltaSequencesMatchColdSolves) {
+  constexpr int kSteps = 16;
+  DiffTally tally;
+  std::uint64_t repaired = 0;
+  std::uint64_t fallbacks = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    par::Rng rng(0xd1ff + seed);
+    const Digraph g = make_graph(940 + seed, 8, 24);
+    const Vertex t = g.num_vertices() - 1;
+    // The b-flow ships the full max-flow value on into a funnel vertex
+    // behind one arc of exactly that capacity: any cut of the funnel arc,
+    // and of every other min-cut arc, leaves no feasible flow.
+    const EngineSolveResult max_flow = Engine().solve(Instance::max_flow(g, 0, t), fast_opts());
+    ASSERT_EQ(max_flow.result.status, SolveStatus::kOk);
+    const std::int64_t value = max_flow.result.flow_value;
+    Digraph funnel(g.num_vertices() + 1);
+    for (const auto& a : g.arcs()) funnel.add_arc(a.from, a.to, a.cap, a.cost);
+    funnel.add_arc(t, t + 1, value, 0);
+    std::vector<std::int64_t> b(static_cast<std::size_t>(funnel.num_vertices()), 0);
+    b.front() = -value;
+    b.back() = value;
+    const Digraph gadget = testing_gadget::repair_gadget(/*abs_costs=*/true);
+
+    const Engine engine;
+    DiffStream streams[] = {
+        {Mirror(g), Instance::max_flow(g, 0, t)},
+        {Mirror(funnel), Instance::b_flow(funnel, b)},
+        {Mirror(gadget), Instance::b_flow(gadget, std::vector<std::int64_t>(4, 0))},
+    };
+    for (DiffStream& st : streams) {
+      st.handle = engine.register_instance(st.shape);
+      ASSERT_NE(st.handle, 0u);
+      const EngineSolveResult prime = engine.resolve(st.handle, {}, fast_opts());
+      ASSERT_EQ(prime.result.status, SolveStatus::kOk);
+      st.last_flow = prime.result.arc_flow;
+      st.last_ok = true;
+      // The gadget opens with its flip, which no repair budget covers.
+      if (&st == &streams[2]) diff_step(engine, st, gadget_flip_delta(), tally);
+      for (int step = 0; step < kSteps && !HasFatalFailure(); ++step)
+        diff_step(engine, st, random_delta(st, rng), tally);
+      ASSERT_FALSE(HasFatalFailure());
+    }
+    const MetricsSnapshot snap = engine.metrics_snapshot();
+    repaired += snap.of(EngineCounter::kResolveRepaired);
+    fallbacks += snap.of(EngineCounter::kResolveRepairFallback);
+  }
+  EXPECT_EQ(repaired, static_cast<std::uint64_t>(tally.repaired));
+  EXPECT_EQ(fallbacks, static_cast<std::uint64_t>(tally.over_budget + tally.infeasible_cuts));
+  EXPECT_GT(tally.repaired, 0);
+  EXPECT_GT(tally.over_budget, 0);
+  EXPECT_GT(tally.infeasible_cuts, 0);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "ipm/rounding.hpp"
 #include "mcf/min_cost_flow.hpp"
 #include "parallel/rng.hpp"
+#include "repair_gadget.hpp"
 
 namespace pmcf {
 namespace {
@@ -85,6 +86,38 @@ TEST(RoundingTest, ImbalanceIsRepaired) {
   (void)x;
 }
 
+TEST(RoundingTest, CancellationBudgetStopsTheRepair) {
+  // The gadget needs kRepairGadgetCancels cancellations from the zero flow.
+  const Digraph g = testing_gadget::repair_gadget(/*abs_costs=*/false);
+  const Vec zero(static_cast<std::size_t>(g.num_arcs()), 0.0);
+  const std::vector<std::int64_t> b(4, 0);
+  auto& ctx = pmcf::core::default_context();
+
+  const auto unbounded = ipm::round_and_repair(ctx, g, b, zero);
+  ASSERT_EQ(unbounded.status, SolveStatus::kOk);
+  EXPECT_EQ(unbounded.cycles_canceled, testing_gadget::kRepairGadgetCancels);
+  EXPECT_GT(unbounded.cycles_canceled, g.num_arcs());
+
+  // An explicit unbounded budget, or one that is just enough, changes nothing.
+  for (const std::int64_t budget :
+       {ipm::kUnboundedCycleCancels, testing_gadget::kRepairGadgetCancels}) {
+    const auto same = ipm::round_and_repair(ctx, g, b, zero, budget);
+    EXPECT_EQ(same.status, SolveStatus::kOk);
+    EXPECT_EQ(same.flow, unbounded.flow);
+    EXPECT_EQ(same.cost, unbounded.cost);
+    EXPECT_EQ(same.cycles_canceled, unbounded.cycles_canceled);
+  }
+
+  // A finite budget stops at it: exactly that many cycles canceled, and the
+  // cycle left over is reported as kIterationLimit, not as an optimum.
+  for (const std::int64_t budget : {std::int64_t{0}, std::int64_t{1}, std::int64_t{g.num_arcs()},
+                                    testing_gadget::kRepairGadgetCancels - 1}) {
+    const auto capped = ipm::round_and_repair(ctx, g, b, zero, budget);
+    EXPECT_EQ(capped.status, SolveStatus::kIterationLimit) << budget;
+    EXPECT_EQ(capped.cycles_canceled, budget);
+  }
+}
+
 ipm::IpmOptions fast_ipm_options() {
   ipm::IpmOptions o;
   o.mu_end = 1e-3;
@@ -147,6 +180,47 @@ TEST_P(MinCostFlowSweep, ExactlyMatchesSspOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MinCostFlowSweep, ::testing::Range(0, 8));
+
+TEST(MinCostFlowTest, ZeroCapacityArcsStayOutOfTheLp) {
+  // The barrier needs 0 < x < u, so a zero-capacity arc must not reach the
+  // IPM; both IPM tiers answer without degrading and report 0 on it.
+  Digraph g(4);
+  g.add_arc(0, 1, 2, 1);
+  g.add_arc(1, 3, 2, 1);
+  g.add_arc(1, 2, 0, 1);
+  g.add_arc(0, 2, 2, 3);
+  g.add_arc(2, 3, 2, 3);
+  for (const mcf::Method method : {mcf::Method::kReferenceIpm, mcf::Method::kRobustIpm}) {
+    mcf::SolveOptions opts;
+    opts.method = method;
+    opts.allow_degradation = false;
+    opts.ipm = fast_ipm_options();
+    const auto res = mcf::min_cost_max_flow(g, 0, 3, opts);
+    ASSERT_EQ(res.status, SolveStatus::kOk) << mcf::to_string(method) << ": " << res.failure_detail;
+    EXPECT_TRUE(res.stats.certified);
+    EXPECT_EQ(res.flow_value, 4);
+    EXPECT_EQ(res.cost, 16);
+    EXPECT_EQ(res.arc_flow[2], 0);
+  }
+}
+
+TEST(MinCostFlowTest, CombinatorialBFlowHandlesNegativeCycles) {
+  // 1 -> 2 -> 1 is a negative cycle. SSP alone cannot price it and used to
+  // report the routable demand as infeasible.
+  Digraph g(3);
+  g.add_arc(0, 1, 2, 1);
+  g.add_arc(1, 2, 2, 1);
+  g.add_arc(2, 1, 1, -3);
+  const std::vector<std::int64_t> b{-1, 0, 1};
+  mcf::SolveOptions opts;
+  opts.method = mcf::Method::kCombinatorial;
+  opts.allow_degradation = false;
+  const auto res = mcf::min_cost_b_flow(g, b, opts);
+  ASSERT_EQ(res.status, SolveStatus::kOk) << res.failure_detail;
+  EXPECT_TRUE(res.stats.certified);
+  EXPECT_EQ(res.arc_flow, (std::vector<std::int64_t>{1, 2, 1}));
+  EXPECT_EQ(res.cost, 0);
+}
 
 TEST(MinCostFlowTest, CombinatorialMethodDelegates) {
   par::Rng rng(82);
