@@ -1049,7 +1049,8 @@ Workload make_paper_trimming(bool tiny) {
 }
 
 // B.1 — HeavyHitter: query `scans` track n + #heavy rows, not m; `Scale`
-// moves 16 rows between weight buckets.
+// reweights 16 rows, and `bucket_moves` counts those that left their bucket's
+// one-exponent band.
 Workload make_paper_heavy_hitter(bool tiny) {
   return paper_row(
       "paper_heavy_hitter", tiny,
@@ -1085,7 +1086,7 @@ Workload make_paper_heavy_hitter(bool tiny) {
               vals.push_back(0.1 + 4.0 * rng.next_double());
             }
             hh.scale(idx, vals);
-            return {{"m", g.num_arcs()}};
+            return {{"bucket_moves", hh.bucket_moves()}, {"m", g.num_arcs()}};
           });
         }}});
 }

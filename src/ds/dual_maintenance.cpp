@@ -9,11 +9,23 @@ namespace pmcf::ds {
 
 namespace {
 using linalg::Vec;
+
+/// HeavyHitter rows weighted by 1/w: a drift of 0.2 w_i ε shows up as a
+/// weighted magnitude of 0.2 ε.
+Vec inverse_weights(const Vec& w) {
+  Vec inv(w.size());
+  for (std::size_t i = 0; i < w.size(); ++i) inv[i] = w[i] > 0.0 ? 1.0 / w[i] : 0.0;
+  return inv;
 }
+}  // namespace
 
 DualMaintenance::DualMaintenance(core::SolverContext& ctx, const graph::Digraph& g, Vec v_init,
                                  Vec w, DualMaintenanceOptions opts)
-    : ctx_(&ctx), g_(&g), a_(g), opts_(opts), w_(std::move(w)) {
+    : g_(&g),
+      a_(g),
+      opts_(opts),
+      w_(std::move(w)),
+      hh_(ctx, g, inverse_weights(w_), opts_.hh) {
   const auto n = static_cast<std::size_t>(g.num_vertices());
   period_ = opts_.period > 0
                 ? opts_.period
@@ -32,11 +44,8 @@ void DualMaintenance::reinitialize(Vec v_init) {
   f_level_.assign(static_cast<std::size_t>(levels_), Vec(n, 0.0));
   pending_.assign(static_cast<std::size_t>(levels_), {});
   t_ = 0;
-  // HeavyHitter rows weighted by 1/w: a drift of 0.2 w_i ε shows up as a
-  // weighted magnitude of 0.2 ε.
-  Vec inv_w(w_.size());
-  for (std::size_t i = 0; i < w_.size(); ++i) inv_w[i] = w_[i] > 0.0 ? 1.0 / w_[i] : 0.0;
-  hh_ = std::make_unique<HeavyHitter>(*ctx_, *g_, std::move(inv_w), opts_.hh);
+  // hh_ is kept: its weights 1/w only change through set_accuracy, and a
+  // heavy query's answer depends on the weights and h alone.
 }
 
 std::vector<std::size_t> DualMaintenance::verify(const std::vector<std::size_t>& idx) {
@@ -74,7 +83,7 @@ DualMaintenance::AddResult DualMaintenance::add(const Vec& h) {
     auto& fj = f_level_[static_cast<std::size_t>(j)];
     par::parallel_for(0, fj.size(), [&](std::size_t i) { fj[i] += h[i]; });
     if (t_ % (std::int32_t{1} << j) == 0) {
-      const auto heavy = hh_->heavy_query(fj, threshold);
+      const auto heavy = hh_.heavy_query(fj, threshold);
       candidates.insert(candidates.end(), heavy.begin(), heavy.end());
       fj.assign(fj.size(), 0.0);
       // Deferred accuracy-change re-checks scheduled on this level.
@@ -93,12 +102,8 @@ DualMaintenance::AddResult DualMaintenance::add(const Vec& h) {
 }
 
 void DualMaintenance::set_accuracy(const std::vector<std::size_t>& idx, const Vec& delta) {
-  Vec inv(idx.size());
-  for (std::size_t k = 0; k < idx.size(); ++k) {
-    w_[idx[k]] = delta[k];
-    inv[k] = delta[k] > 0.0 ? 1.0 / delta[k] : 0.0;
-  }
-  hh_->scale(idx, inv);
+  for (std::size_t k = 0; k < idx.size(); ++k) w_[idx[k]] = delta[k];
+  hh_.scale(idx, inverse_weights(delta));
   // Re-check the touched indices immediately and at every dyadic boundary.
   (void)verify(idx);
   for (auto& pend : pending_) pend.insert(pend.end(), idx.begin(), idx.end());

@@ -7,10 +7,11 @@
 // accumulators f^(j) = Σ of the last 2^j step vectors, each checked by a
 // HeavyHitter (Lemma B.1) with row weights 1/w every 2^j steps — so an entry
 // is re-read as soon as any dyadic window moved it by > 0.2 w_i ε / log T.
-// Every T = Θ(√n) steps the structure reinitializes (amortized Õ(m/√n)).
+// Every T = Θ(√n) steps the dyadic state reinitializes (amortized Õ(m/√n));
+// the HeavyHitter is built once and kept, since its weights 1/w do not change
+// at a reinitialize and a heavy query's answer is exact.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "ds/heavy_hitter.hpp"
@@ -54,7 +55,6 @@ class DualMaintenance {
   void reinitialize(linalg::Vec v_init);
   std::vector<std::size_t> verify(const std::vector<std::size_t>& idx);
 
-  core::SolverContext* ctx_;
   const graph::Digraph* g_;
   linalg::IncidenceOp a_;
   DualMaintenanceOptions opts_;
@@ -67,7 +67,7 @@ class DualMaintenance {
   linalg::Vec f_hat_;                       // Σ h since reinit
   std::vector<linalg::Vec> f_level_;        // dyadic window sums
   std::vector<std::vector<std::size_t>> pending_;  // F_j: deferred re-checks
-  std::unique_ptr<HeavyHitter> hh_;
+  HeavyHitter hh_;
   std::int32_t t_ = 0;
 };
 

@@ -18,6 +18,11 @@ using linalg::Vec;
 
 constexpr std::int32_t kZeroWeight = std::numeric_limits<std::int32_t>::min();
 
+/// Lemma B.1's leverage-score oversampling for buckets whose weights are
+/// within 2× (16), times the 16× a weight band of [2^{i-1}, 2^{i+2}) costs:
+/// the overestimate scales with the squared weight ratio, 8² / 2².
+constexpr double kLeverageOversample = 16.0 * 16.0;
+
 /// Degree-weighted mean of h over a cluster (the shift making h' orthogonal
 /// to the degree vector, eq. (8)).
 double cluster_shift(const DynamicExpanderDecomposition::Cluster& cl, const Vec& h) {
@@ -78,20 +83,29 @@ HeavyHitter::HeavyHitter(core::SolverContext& ctx, const graph::Digraph& g, Vec 
 }
 
 void HeavyHitter::scale(const std::vector<std::size_t>& idx, const Vec& vals) {
-  // Group removals and insertions per bucket, then apply batched.
+  // Group removals and insertions per bucket, then apply batched. A row whose
+  // exponent stays within the band of its bucket only updates `above`.
   std::unordered_map<std::int32_t, std::vector<std::int64_t>> erases;
   std::unordered_map<std::int32_t, std::vector<DynamicExpanderDecomposition::EdgeSpec>> inserts;
   for (std::size_t k = 0; k < idx.size(); ++k) {
     const std::size_t e = idx[k];
     const auto& a = g_->arc(static_cast<graph::EdgeId>(e));
-    const std::int32_t nb =
+    const std::int32_t ne =
         (vals[k] <= 0.0 || a.from == a.to) ? kZeroWeight : exponent_of(vals[k]);
-    if (nb != row_bucket_[e]) {
-      if (row_bucket_[e] != kZeroWeight)
-        erases[row_bucket_[e]].push_back(static_cast<std::int64_t>(e));
-      if (nb != kZeroWeight) inserts[nb].push_back({a.from, a.to, static_cast<std::int64_t>(e)});
-      row_bucket_[e] = nb;
+    const std::int32_t b = row_bucket_[e];
+    if (b != kZeroWeight) {
+      Bucket& old = bucket_for(b);
+      if (exponent_of(weights_[e]) == b + 1) --old.above;
+      if (ne != kZeroWeight && std::abs(ne - b) <= kBucketBand) {
+        if (ne == b + 1) ++old.above;
+        weights_[e] = vals[k];
+        continue;
+      }
+      erases[b].push_back(static_cast<std::int64_t>(e));
     }
+    if (ne != kZeroWeight) inserts[ne].push_back({a.from, a.to, static_cast<std::int64_t>(e)});
+    if (b != ne) ++bucket_moves_;
+    row_bucket_[e] = ne;
     weights_[e] = vals[k];
   }
   for (auto& [exp, ids] : erases) {
@@ -115,9 +129,10 @@ std::vector<std::size_t> HeavyHitter::heavy_query(const Vec& h, double eps) {
   if (ctx_->fault().should_fire(par::FaultKind::kHeavyHitterMiss)) return out;
   for (const Bucket& b : buckets_) {
     if (b.count == 0) continue;
-    // g_e < 2^{exp+1}, so a heavy row needs |h_u - h_v| >= eps / 2^{exp+1},
-    // hence an endpoint with |h'_v| >= eps / 2^{exp+2}.
-    const double delta = eps / std::ldexp(1.0, b.exponent + 1);
+    // Members have g_e < 2^{top+1}, so a heavy row needs |h_u - h_v| >=
+    // eps / 2^{top+1}, hence an endpoint with |h'_v| >= eps / 2^{top+2}.
+    const std::int32_t top = b.above > 0 ? b.exponent + 1 : b.exponent;
+    const double delta = eps / std::ldexp(1.0, top + 1);
     for (const auto* cl : b.decomp->clusters()) {
       const double shift = cluster_shift(*cl, h);
       const auto& cg = cl->graph();
@@ -143,13 +158,14 @@ std::vector<std::size_t> HeavyHitter::heavy_query(const Vec& h, double eps) {
   return out;
 }
 
-double HeavyHitter::sample_mass(const Vec& h) const {
+double HeavyHitter::sample_mass(const Vec& h, ShiftMap& shifts) const {
   double mass = 0.0;
   for (const Bucket& b : buckets_) {
     if (b.count == 0) continue;
     const double w2 = std::ldexp(1.0, 2 * b.exponent);
     for (const auto* cl : b.decomp->clusters()) {
       const double shift = cluster_shift(*cl, h);
+      shifts.emplace(cl, shift);
       const auto& cg = cl->graph();
       for (Vertex v = 0; v < cg.num_vertices(); ++v) {
         const auto d = static_cast<double>(cg.degree(v));
@@ -163,7 +179,8 @@ double HeavyHitter::sample_mass(const Vec& h) const {
 }
 
 std::vector<std::size_t> HeavyHitter::sample(const Vec& h, double big_k) {
-  const double mass = sample_mass(h);
+  ShiftMap shifts;
+  const double mass = sample_mass(h, shifts);
   std::vector<std::size_t> out;
   if (ctx_->fault().should_fire(par::FaultKind::kHeavyHitterMiss)) return out;
   if (mass <= 0.0) return out;
@@ -172,7 +189,7 @@ std::vector<std::size_t> HeavyHitter::sample(const Vec& h, double big_k) {
     if (b.count == 0) continue;
     const double w2 = std::ldexp(1.0, 2 * b.exponent);
     for (const auto* cl : b.decomp->clusters()) {
-      const double shift = cluster_shift(*cl, h);
+      const double shift = shifts.at(cl);
       const auto& cg = cl->graph();
       for (Vertex v = 0; v < cg.num_vertices(); ++v) {
         if (cg.degree(v) == 0) continue;
@@ -204,32 +221,32 @@ std::vector<std::size_t> HeavyHitter::sample(const Vec& h, double big_k) {
   return out;
 }
 
-double HeavyHitter::vertex_sample_prob(const Vec& h, double big_k, std::size_t arc,
-                                       double mass) const {
-  if (row_bucket_[arc] == kZeroWeight || mass <= 0.0) return 0.0;
-  const auto bit = bucket_index_.find(row_bucket_[arc]);
-  if (bit == bucket_index_.end()) return 0.0;
-  const Bucket& b = buckets_[bit->second];
-  graph::EdgeId local = -1;
-  const auto* cl = b.decomp->find(static_cast<std::int64_t>(arc), &local);
-  if (cl == nullptr) return 0.0;
-  const double shift = cluster_shift(*cl, h);
-  const double q = big_k / mass;
-  const double w2 = std::ldexp(1.0, 2 * b.exponent);
-  const auto ep = cl->graph().endpoints(local);
-  const double hu = h[static_cast<std::size_t>(cl->to_global(ep.u))] - shift;
-  const double hv = h[static_cast<std::size_t>(cl->to_global(ep.v))] - shift;
-  const double pu = std::min(q * w2 * hu * hu, 1.0);
-  const double pv = std::min(q * w2 * hv * hv, 1.0);
-  return 1.0 - (1.0 - pu) * (1.0 - pv);
-}
-
 Vec HeavyHitter::probability(const std::vector<std::size_t>& idx, const Vec& h,
                              double big_k) const {
-  const double mass = sample_mass(h);
+  ShiftMap shifts;
+  const double mass = sample_mass(h, shifts);
   Vec out(idx.size(), 0.0);
-  for (std::size_t k = 0; k < idx.size(); ++k)
-    out[k] = vertex_sample_prob(h, big_k, idx[k], mass);
+  if (mass > 0.0) {
+    const double q = big_k / mass;
+    for (std::size_t k = 0; k < idx.size(); ++k) {
+      const std::size_t arc = idx[k];
+      if (row_bucket_[arc] == kZeroWeight) continue;
+      const auto bit = bucket_index_.find(row_bucket_[arc]);
+      if (bit == bucket_index_.end()) continue;
+      const Bucket& b = buckets_[bit->second];
+      graph::EdgeId local = -1;
+      const auto* cl = b.decomp->find(static_cast<std::int64_t>(arc), &local);
+      if (cl == nullptr) continue;
+      const double shift = shifts.at(cl);
+      const double w2 = std::ldexp(1.0, 2 * b.exponent);
+      const auto ep = cl->graph().endpoints(local);
+      const double hu = h[static_cast<std::size_t>(cl->to_global(ep.u))] - shift;
+      const double hv = h[static_cast<std::size_t>(cl->to_global(ep.v))] - shift;
+      const double pu = std::min(q * w2 * hu * hu, 1.0);
+      const double pv = std::min(q * w2 * hv * hv, 1.0);
+      out[k] = 1.0 - (1.0 - pu) * (1.0 - pv);
+    }
+  }
   par::charge(idx.size() + 1, par::ceil_log2(idx.size() + 2));
   return out;
 }
@@ -246,7 +263,7 @@ std::vector<std::size_t> HeavyHitter::leverage_sample(double k_prime) {
         const auto d = static_cast<double>(cg.degree(v));
         if (d == 0.0) continue;
         const double p =
-            std::min(16.0 * k_prime * lg / (opts_.phi * opts_.phi * d), 1.0);
+            std::min(kLeverageOversample * k_prime * lg / (opts_.phi * opts_.phi * d), 1.0);
         const auto incidents = cg.incident(v);
         if (p >= 1.0) {
           for (const auto& inc : incidents)
@@ -286,8 +303,9 @@ Vec HeavyHitter::leverage_bound(const std::vector<std::size_t>& idx, double k_pr
     const auto ep = cl->graph().endpoints(local);
     const auto du = static_cast<double>(cl->graph().degree(ep.u));
     const auto dv = static_cast<double>(cl->graph().degree(ep.v));
-    const double pu = std::min(16.0 * k_prime * lg / (opts_.phi * opts_.phi * du), 1.0);
-    const double pv = std::min(16.0 * k_prime * lg / (opts_.phi * opts_.phi * dv), 1.0);
+    const double c = kLeverageOversample * k_prime * lg / (opts_.phi * opts_.phi);
+    const double pu = std::min(c / du, 1.0);
+    const double pv = std::min(c / dv, 1.0);
     out[k] = std::min(pu + pv, 1.0);
   }
   par::charge(idx.size() + 1, par::ceil_log2(idx.size() + 2));

@@ -503,6 +503,46 @@ baselines::McmfResult ssp_b_flow_any_costs(const Digraph& g, std::vector<std::in
   return r;
 }
 
+/// Capacity of the t -> s circulation arc: the out-capacity of s bounds the
+/// max flow.
+std::int64_t circulation_cap(const Digraph& g, Vertex s) {
+  std::int64_t out_cap = 0;
+  for (const auto& a : g.arcs())
+    if (a.from == s) out_cap += a.cap;  // <= cap mass, exact
+  return std::max<std::int64_t>(out_cap, 1);
+}
+
+/// True when the t -> s arc at cost -cost_mass, with capacity ts_cap, keeps
+/// every flow*cost sum within kMassLimit.
+bool circulation_fits(std::int64_t cost_mass, std::int64_t ts_cap) {
+  return static_cast<__int128>(cost_mass) * (1 + static_cast<__int128>(ts_cap)) <= kMassLimit;
+}
+
+/// Exact min-cost max-flow by successive shortest paths. SSP cannot price a
+/// negative-cost cycle, so with negative costs the instance is solved as the
+/// min-cost circulation through a t -> s arc at cost -cost_mass, a reward
+/// larger than any path cost: it maximizes the flow, then minimizes its cost.
+baselines::McmfResult ssp_max_flow_any_costs(const Digraph& g, Vertex s, Vertex t,
+                                             std::int64_t cost_mass) {
+  const auto& arcs = g.arcs();
+  if (std::none_of(arcs.begin(), arcs.end(), [](const graph::Arc& a) { return a.cost < 0; }))
+    return baselines::ssp_min_cost_max_flow(g, s, t);
+  const std::int64_t ts_cap = circulation_cap(g, s);
+  if (!circulation_fits(cost_mass, ts_cap))
+    throw ComponentError(SolveStatus::kInvalidInput, "mcf::min_cost_max_flow",
+                         "-K circulation arc overflows the safe integer range");
+  Digraph circ(g.num_vertices());
+  for (const auto& a : arcs) circ.add_arc(a.from, a.to, a.cap, a.cost);
+  const graph::EdgeId ts = circ.add_arc(t, s, ts_cap, -cost_mass);
+  baselines::McmfResult r = ssp_b_flow_any_costs(
+      circ, std::vector<std::int64_t>(static_cast<std::size_t>(g.num_vertices()), 0));
+  r.flow = r.arc_flow[static_cast<std::size_t>(ts)];
+  r.arc_flow.pop_back();
+  r.cost = 0;
+  for (std::size_t k = 0; k < arcs.size(); ++k) r.cost += r.arc_flow[k] * arcs[k].cost;
+  return r;
+}
+
 }  // namespace
 
 const char* to_string(Method m) {
@@ -550,11 +590,8 @@ MinCostFlowResult min_cost_max_flow(core::SolverContext& ctx, const Digraph& g, 
   graph::EdgeId ts = 0;
   std::vector<std::int64_t> warm_core;
   if (uses_ipm) {
-    std::int64_t out_cap = 0;
-    for (const auto& a : g.arcs())
-      if (a.from == s) out_cap += a.cap;  // <= cap_mass, exact
-    const std::int64_t ts_cap = std::max<std::int64_t>(out_cap, 1);
-    if (static_cast<__int128>(*cost_mass) * (1 + static_cast<__int128>(ts_cap)) > kMassLimit)
+    const std::int64_t ts_cap = circulation_cap(g, s);
+    if (!circulation_fits(*cost_mass, ts_cap))
       return invalid_input("mcf::min_cost_max_flow",
                            "-K circulation arc overflows the safe integer range");
     for (const auto& a : g.arcs()) core.add_arc(a.from, a.to, a.cap, a.cost);
@@ -584,7 +621,7 @@ MinCostFlowResult min_cost_max_flow(core::SolverContext& ctx, const Digraph& g, 
     ++tiers_attempted;
     if (tier == Method::kCombinatorial) {
       try {
-        const auto r = baselines::ssp_min_cost_max_flow(g, s, t);
+        const auto r = ssp_max_flow_any_costs(g, s, t, *cost_mass);
         res = MinCostFlowResult{};
         res.flow_value = r.flow;
         res.cost = r.cost;

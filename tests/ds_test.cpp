@@ -1,5 +1,6 @@
 // Tests for the robust-IPM data structures: flat-norm maximizer (Lemma D.2 /
-// Cor D.3), τ-sampler (Theorem A.3) and HeavyHitter (Lemma B.1).
+// Cor D.3), τ-sampler (Theorem A.3), HeavyHitter (Lemma B.1) and the
+// HeavyHitter reuse of DualMaintenance (Theorem E.1).
 
 #include <gtest/gtest.h>
 
@@ -11,11 +12,13 @@
 
 #include "ds/flat_norm.hpp"
 #include "core/solver_context.hpp"
+#include "ds/dual_maintenance.hpp"
 #include "ds/heavy_hitter.hpp"
 #include "ds/tau_sampler.hpp"
 #include "graph/generators.hpp"
 #include "linalg/incidence.hpp"
 #include "parallel/rng.hpp"
+#include "parallel/work_depth.hpp"
 
 namespace pmcf::ds {
 namespace {
@@ -388,6 +391,155 @@ TEST(HeavyHitterTest, QueryWorkIsOutputSensitive) {
   const auto got = hh.heavy_query(h, 0.5);
   EXPECT_TRUE(got.empty());
   EXPECT_LT(hh.last_query_scans(), 6000u) << "scan count must be Õ(n), not O(m)";
+}
+
+TEST(HeavyHitterTest, RandomScaleSequencesStayExact) {
+  // Weight drift by factors in [1/8, 8], moves to and from 0 included: the
+  // heavy set must equal brute force after every call, stale buckets or not.
+  HhFixture f(30, 150, 104);
+  HeavyHitter hh(pmcf::core::default_context(), f.g, f.weights);
+  Vec w = f.weights;
+  par::Rng rng(105);
+  for (int round = 0; round < 60; ++round) {
+    std::vector<std::size_t> idx;
+    Vec vals;
+    const auto count = 1 + rng.next_below(12);
+    for (std::uint64_t k = 0; k < count; ++k) {
+      const auto e = static_cast<std::size_t>(rng.next_below(150));
+      if (std::find(idx.begin(), idx.end(), e) != idx.end()) continue;
+      double v = 0.0;
+      if (w[e] == 0.0)
+        v = 0.25 + rng.next_double();
+      else if (rng.next_double() >= 0.1)
+        v = w[e] * std::exp2(6.0 * rng.next_double() - 3.0);
+      idx.push_back(e);
+      vals.push_back(v);
+      w[e] = v;
+    }
+    hh.scale(idx, vals);
+    for (int trial = 0; trial < 3; ++trial) {
+      Vec h(30);
+      for (auto& x : h) x = rng.next_double() * 2.0 - 1.0;
+      if (trial == 2) {  // one steep vertex: a few heavy rows among light ones
+        h.assign(30, 0.0);
+        h[rng.next_below(30)] = 4.0;
+      }
+      for (const double eps : {0.05, 0.4, 2.0})
+        ASSERT_EQ(hh.heavy_query(h, eps), brute_heavy(f.g, w, h, eps))
+            << "round " << round << " trial " << trial << " eps " << eps;
+    }
+  }
+  EXPECT_GT(hh.bucket_moves(), 0u);
+}
+
+TEST(HeavyHitterTest, OneExponentDriftLeavesTheDecompositionAlone) {
+  HhFixture f(20, 80, 106);
+  HeavyHitter hh(pmcf::core::default_context(), f.g, Vec(80, 1.0));
+  // scale() charges 2 for a one-row call; anything above that is expander
+  // work (an erase or an insert).
+  auto scale_work = [&](double v) {
+    const par::CostScope scope;
+    hh.scale({5}, {v});
+    return scope.elapsed().work;
+  };
+  for (const double v : {1.9, 3.5, 0.6, 1.2}) {
+    EXPECT_EQ(scale_work(v), 2u) << v;
+    EXPECT_EQ(hh.bucket_moves(), 0u) << v;
+  }
+  EXPECT_GT(scale_work(4.5), 2u);  // exponent 2: leaves bucket 0
+  EXPECT_EQ(hh.bucket_moves(), 1u);
+  EXPECT_EQ(scale_work(2.5), 2u);  // exponent 1, within bucket 2's band
+  EXPECT_GT(scale_work(0.0), 2u);  // to zero always moves
+  EXPECT_GT(scale_work(1.0), 2u);  // and so does from zero
+  EXPECT_EQ(hh.bucket_moves(), 3u);
+}
+
+TEST(HeavyHitterTest, StaleBucketSamplingMatchesProbability) {
+  // Drift every row within its band, so g_e²/4^i spans [1/4, 16): sample()'s
+  // inclusion frequencies must still match probability().
+  HhFixture f(20, 80, 107);
+  HeavyHitter hh(pmcf::core::default_context(), f.g, Vec(80, 1.0));
+  std::vector<std::size_t> all(80);
+  Vec vals(80);
+  for (std::size_t e = 0; e < 80; ++e) {
+    all[e] = e;
+    vals[e] = e % 2 == 0 ? 3.7 : 0.55;
+  }
+  hh.scale(all, vals);
+  ASSERT_EQ(hh.bucket_moves(), 0u);
+  Vec h(20);
+  par::Rng rng(108);
+  for (auto& x : h) x = rng.next_double() - 0.5;
+  const double big_k = 12.0;
+  const Vec p = hh.probability(all, h, big_k);
+  const int draws = 4000;
+  std::vector<int> hits(80, 0);
+  for (int t = 0; t < draws; ++t)
+    for (const std::size_t e : hh.sample(h, big_k)) ++hits[e];
+  int interior = 0;
+  for (std::size_t e = 0; e < 80; ++e) {
+    const double sd = std::sqrt(p[e] * (1.0 - p[e]) / draws);
+    EXPECT_NEAR(static_cast<double>(hits[e]) / draws, p[e], 5.0 * sd + 1.0 / draws)
+        << "arc " << e;
+    if (p[e] > 0.05 && p[e] < 0.95) ++interior;
+  }
+  EXPECT_GE(interior, 10) << "the check needs probabilities away from 0 and 1";
+}
+
+TEST(DualMaintenanceTest, ReinitializeMatchesAFreshStructure) {
+  // The HeavyHitter outlives a reinitialize; after the boundary the changed
+  // sets must equal those of a structure built fresh from the same state.
+  par::Rng rng(109);
+  const Vertex n = 20;
+  const Digraph g = graph::random_flow_network(n, 90, 4, 4, rng);
+  const std::size_t m = 90;
+  Vec w(m);
+  for (auto& x : w) x = 0.5 + rng.next_double();
+  DualMaintenanceOptions opts;
+  opts.eps = 0.1;
+  opts.period = 4;
+  DualMaintenance dm(pmcf::core::default_context(), g, Vec(m, 0.0), w, opts);
+  auto step = [&] {
+    Vec h(static_cast<std::size_t>(n), 0.0);
+    for (int k = 0; k < 4; ++k)
+      h[rng.next_below(static_cast<std::uint64_t>(n - 1))] += 0.08 * (rng.next_double() - 0.5);
+    return h;
+  };
+  auto drift = [&](std::vector<std::size_t>& idx, Vec& delta) {
+    idx.clear();
+    delta.clear();
+    for (int k = 0; k < 6; ++k) {
+      const auto e = static_cast<std::size_t>(rng.next_below(m));
+      if (std::find(idx.begin(), idx.end(), e) != idx.end()) continue;
+      idx.push_back(e);
+      delta.push_back(w[e] * std::exp2(4.0 * rng.next_double() - 2.0));
+      w[e] = delta.back();
+    }
+  };
+  std::vector<std::size_t> idx;
+  Vec delta;
+  for (int period = 0; period < 3; ++period) {
+    // One period of adds with accuracy changes in between, so the kept
+    // HeavyHitter carries rows in stale buckets across the boundary.
+    for (int t = 0; t < opts.period; ++t) {
+      (void)dm.add(step());
+      drift(idx, delta);
+      dm.set_accuracy(idx, delta);
+    }
+    DualMaintenance fresh(pmcf::core::default_context(), g, dm.compute_exact(), w, opts);
+    for (int t = 0; t < opts.period; ++t) {
+      const Vec h = step();
+      const auto kept = dm.add(h);
+      const auto rebuilt = fresh.add(h);
+      ASSERT_EQ(kept.changed, rebuilt.changed) << "period " << period << " step " << t;
+      ASSERT_EQ(*kept.approx, *rebuilt.approx);
+      if (t + 1 < opts.period) {
+        drift(idx, delta);
+        dm.set_accuracy(idx, delta);
+        fresh.set_accuracy(idx, delta);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -222,6 +222,35 @@ TEST(MinCostFlowTest, CombinatorialBFlowHandlesNegativeCycles) {
   EXPECT_EQ(res.cost, 0);
 }
 
+TEST(MinCostFlowTest, CombinatorialMaxFlowHandlesNegativeCycles) {
+  // 1 -> 2 -> 1 is a negative cycle, so plain SSP returns no flow; the
+  // combinatorial tier must still answer, certified and cost-equal to the
+  // IPM tiers.
+  Digraph g(4);
+  g.add_arc(0, 1, 2, 1);
+  g.add_arc(1, 2, 2, -3);
+  g.add_arc(2, 1, 1, 1);
+  g.add_arc(2, 3, 2, 1);
+  g.add_arc(0, 2, 1, 4);
+  mcf::SolveOptions opts;
+  opts.ipm = fast_ipm_options();
+  opts.allow_degradation = false;
+  opts.method = mcf::Method::kCombinatorial;
+  const auto comb = mcf::min_cost_max_flow(g, 0, 3, opts);
+  ASSERT_EQ(comb.status, SolveStatus::kOk) << comb.failure_detail;
+  EXPECT_TRUE(comb.stats.certified);
+  EXPECT_EQ(comb.stats.answered_by, mcf::Method::kCombinatorial);
+  EXPECT_EQ(comb.flow_value, 2);
+  for (const mcf::Method m : {mcf::Method::kReferenceIpm, mcf::Method::kRobustIpm}) {
+    opts.method = m;
+    const auto ipm = mcf::min_cost_max_flow(g, 0, 3, opts);
+    ASSERT_EQ(ipm.status, SolveStatus::kOk) << mcf::to_string(m) << ": " << ipm.failure_detail;
+    EXPECT_TRUE(ipm.stats.certified) << mcf::to_string(m);
+    EXPECT_EQ(ipm.flow_value, comb.flow_value) << mcf::to_string(m);
+    EXPECT_EQ(ipm.cost, comb.cost) << mcf::to_string(m);
+  }
+}
+
 TEST(MinCostFlowTest, CombinatorialMethodDelegates) {
   par::Rng rng(82);
   const Digraph g = graph::random_flow_network(15, 60, 5, 5, rng);
